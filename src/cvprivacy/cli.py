@@ -25,8 +25,8 @@ from .states import (
     BipartiteSplit,
     GaussianState,
     SymmetricStateParams,
+    _resolve_x_coords,
     is_nppt,
-    is_physical,
     make_symmetric_state,
     random_physical_state,
     state_from_json,
@@ -42,8 +42,6 @@ class SweepSpec:
 
     lambda_range: tuple
     c_range: tuple
-    x0: float = 1.0
-    output_path: str = None
 
     def __post_init__(self):
         for name, (lo, hi, steps) in (
@@ -56,36 +54,25 @@ class SweepSpec:
                 raise ValueError(f"{name}: need 0 <= min < max")
 
 
-def classify_cell(lam: float, c: float):
-    """Booleans (physical, nppt, individual, collective) for one grid cell.
-
-    Verdicts are nested by construction: each later verdict is conjoined
-    with the previous one, matching the fail-safe report semantics.
-    """
-    try:
-        state = make_symmetric_state(SymmetricStateParams(lam, c, c))
-    except Unphysical:
-        return False, False, False, False
-    if not is_physical(state):
-        return False, False, False, False
-    nppt = is_nppt(state, BipartiteSplit(1, 1))
-    individual = nppt and security.individual_condition(state)
-    collective = individual and security.collective_condition(state)
-    return True, nppt, individual, collective
-
-
 def sweep_rows(spec: SweepSpec):
-    """Yield CSV rows of the sweep in row-major (lambda outer) order."""
+    """Yield CSV rows of the sweep in row-major (lambda outer) order.
+
+    Each cell is the ``analyze_state`` report of the symmetric state
+    (lam, c, c); an unphysical cell is a row of zeros.
+    """
     l_lo, l_hi, l_steps = spec.lambda_range
     c_lo, c_hi, c_steps = spec.c_range
     lambdas = np.linspace(l_lo, l_hi, int(l_steps))
     cs = np.linspace(c_lo, c_hi, int(c_steps))
     for lam in lambdas:
         for c in cs:
-            phys, nppt, ind, coll = classify_cell(float(lam), float(c))
-            yield (
-                f"{lam:.12g},{c:.12g},{int(phys)},{int(nppt)},{int(ind)},{int(coll)}"
-            )
+            params = SymmetricStateParams(float(lam), float(c), float(c))
+            try:
+                rep = security.analyze_state(make_symmetric_state(params))
+                flags = (True, not rep.ppt, rep.individual_secure, rep.collective_secure)
+            except Unphysical:
+                flags = (False, False, False, False)
+            yield f"{lam:.12g},{c:.12g}," + ",".join(str(int(f)) for f in flags)
 
 
 def render_sweep(spec: SweepSpec) -> str:
@@ -142,8 +129,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     lambda_range, c_range = _parse_grid(args.grid)
-    spec = SweepSpec(lambda_range, c_range, x0=args.x0, output_path=args.out)
-    text = render_sweep(spec)
+    text = render_sweep(SweepSpec(lambda_range, c_range))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -154,6 +140,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     state = _load_state(args.state)
+    coords = _resolve_x_coords(state, _parse_split(args.split) if args.split else None)
     cfg = simulate.ProtocolConfig(
         x0=args.x0,
         delta=args.delta,
@@ -161,7 +148,7 @@ def cmd_simulate(args) -> int:
         n_samples=args.samples,
         seed=_resolve_seed(args),
     )
-    result = simulate.run_simulation(state, cfg)
+    result = simulate.run_simulation(state, cfg, coords)
     text = json.dumps(result.to_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -169,7 +156,7 @@ def cmd_simulate(args) -> int:
     else:
         print(text)
     if args.slope_csv:
-        fit = simulate.slope_check(state, cfg, range(1, cfg.n_rounds + 1))
+        fit = simulate.slope_check(state, cfg, range(1, cfg.n_rounds + 1), coords)
         with open(args.slope_csv, "w", encoding="utf-8") as fh:
             fh.write(fit.to_csv())
     return 0
@@ -293,12 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", required=True, help="'lmin:lmax:steps,cmin:cmax:steps'"
     )
-    p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol run")
     p.add_argument("--state", required=True)
+    p.add_argument(
+        "--split", help="mode split as 'nA,nB'; measures the first X on each side"
+    )
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=1_000_000)

@@ -20,8 +20,9 @@ from .states import (
     BipartiteSplit,
     GaussianState,
     SymmetricStateParams,
+    _require_physical,
+    _resolve_x_coords,
     is_nppt,
-    is_physical,
     make_symmetric_state,
 )
 from .symplectic import (
@@ -33,31 +34,6 @@ from .symplectic import (
 # Exponent comparisons treat differences within this band as ties and fail
 # safe toward "insecure"; matches the PPT boundary band in spirit.
 EXPONENT_MARGIN = 1e-10
-
-
-def _require_physical(state: GaussianState):
-    if not is_physical(state):
-        raise Unphysical("state violates the uncertainty bound")
-
-
-def _default_coords(state: GaussianState, split: BipartiteSplit = None):
-    """X quadratures of the first mode on each side."""
-    n_a = split.n_a if split is not None else 1
-    return (0, 2 * n_a)
-
-
-def _check_x_coords(state: GaussianState, coords):
-    coords = tuple(int(c) for c in coords)
-    if len(coords) != 2:
-        raise ValueError("exactly one measured X coordinate per side is expected")
-    for c in coords:
-        if c < 0 or c >= 2 * state.n_modes:
-            raise ValueError(f"coordinate {c} out of range for {state.n_modes} modes")
-        if c % 2 != 0:
-            raise ValueError(f"coordinate {c} is not an X quadrature")
-    if coords[0] == coords[1]:
-        raise ValueError("the two measured coordinates must differ")
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +127,7 @@ def eve_conditional_state(
         raise ValueError("x0 must be positive")
     n = purification.n_system
     sys_cov = purification.system_cov
-    state_view = GaussianState(sys_cov)
-    coords = (
-        _default_coords(state_view)
-        if measured_x_coords is None
-        else _check_x_coords(state_view, measured_x_coords)
-    )
-    ix = np.asarray(coords)
+    ix = np.asarray(_resolve_x_coords(GaussianState(sys_cov), coords=measured_x_coords))
     gamma_x = sys_cov[np.ix_(ix, ix)]
     beta = np.zeros((2 * n, 2 * n))
     beta[np.ix_(ix, ix)] = np.linalg.inv(gamma_x)
@@ -189,25 +159,38 @@ def gaussian_fidelity_equal_cov(
 # ---------------------------------------------------------------------------
 
 
-def eps_ratio_exponent(state: GaussianState, measured_x_coords=None) -> float:
-    """Coefficient k_B with eps_B / (1 - eps_B) = exp(-k_B X0^2).
+def _exponents(state: GaussianState, coords):
+    """(k_B, k_F) from the measured blocks of gamma and sigma gamma^{-1} sigma^T.
 
-    For the measured-X covariance block [[a, b], [b, c]] this is
-    4 b / (a c - b^2).
+    The caller has checked that the state is physical and resolved
+    ``coords``; every exponent and verdict below reads from this pair.
     """
-    _require_physical(state)
-    coords = (
-        _default_coords(state)
-        if measured_x_coords is None
-        else _check_x_coords(state, measured_x_coords)
-    )
     ix = np.asarray(coords)
     gx = state.cov[np.ix_(ix, ix)]
     a, b, c = gx[0, 0], gx[0, 1], gx[1, 1]
     det = a * c - b * b
     if det <= 0:
         raise Unphysical("measured-X covariance block is not positive definite")
-    return float(4.0 * b / det)
+    sigma = symplectic_form(state.n_modes)
+    Gx = (sigma @ np.linalg.inv(state.cov) @ sigma.T)[np.ix_(ix, ix)]
+    u = np.ones(2)
+    k_f = u @ (np.linalg.inv(Gx) - np.linalg.inv(gx)) @ u
+    return float(4.0 * b / det), float(k_f)
+
+
+def _checked_exponents(state: GaussianState, measured_x_coords=None, split=None):
+    """One physicality check, then (k_B, k_F) on the resolved coordinates."""
+    _require_physical(state)
+    return _exponents(state, _resolve_x_coords(state, split, measured_x_coords))
+
+
+def eps_ratio_exponent(state: GaussianState, measured_x_coords=None) -> float:
+    """Coefficient k_B with eps_B / (1 - eps_B) = exp(-k_B X0^2).
+
+    For the measured-X covariance block [[a, b], [b, c]] this is
+    4 b / (a c - b^2).
+    """
+    return _checked_exponents(state, measured_x_coords)[0]
 
 
 def eps_ratio(state: GaussianState, x0: float, measured_x_coords=None) -> float:
@@ -228,20 +211,7 @@ def eve_fidelity_exponent(state: GaussianState, measured_x_coords=None) -> float
     u = (1, 1), the projections taken on the two measured X coordinates.
     Nonnegative for every physical state.
     """
-    _require_physical(state)
-    coords = (
-        _default_coords(state)
-        if measured_x_coords is None
-        else _check_x_coords(state, measured_x_coords)
-    )
-    ix = np.asarray(coords)
-    n = state.n_modes
-    sigma = symplectic_form(n)
-    G = sigma @ np.linalg.inv(state.cov) @ sigma.T
-    Gx = G[np.ix_(ix, ix)]
-    gx = state.cov[np.ix_(ix, ix)]
-    u = np.ones(2)
-    return float(u @ (np.linalg.inv(Gx) - np.linalg.inv(gx)) @ u)
+    return _checked_exponents(state, measured_x_coords)[1]
 
 
 def eve_fidelity(state: GaussianState, x0: float, measured_x_coords=None) -> float:
@@ -256,16 +226,14 @@ def eve_fidelity(state: GaussianState, x0: float, measured_x_coords=None) -> flo
 def individual_condition(state: GaussianState, measured_x_coords=None) -> bool:
     """Key distillable against individual attacks: error odds fall strictly
     faster than Eve's fidelity, compared at the exponent level."""
-    k_b = eps_ratio_exponent(state, measured_x_coords)
-    k_f = eve_fidelity_exponent(state, measured_x_coords)
+    k_b, k_f = _checked_exponents(state, measured_x_coords)
     return bool(k_b - k_f > EXPONENT_MARGIN)
 
 
 def collective_condition(state: GaussianState, measured_x_coords=None) -> bool:
     """Key distillable against collective attacks: error odds fall strictly
     faster than the squared fidelity."""
-    k_b = eps_ratio_exponent(state, measured_x_coords)
-    k_f = eve_fidelity_exponent(state, measured_x_coords)
+    k_b, k_f = _checked_exponents(state, measured_x_coords)
     return bool(k_b - 2.0 * k_f > EXPONENT_MARGIN)
 
 
@@ -274,31 +242,15 @@ def general_key_condition(
 ) -> bool:
     """Key condition for an n+m mode state, one measured X per side.
 
-    Evaluates (d + f - 2e)/(df - e^2) - (a + c + 2b)/(ac - b^2) < 0 with
-    (a, b, c) from the measured block of gamma and (d, e, f) from the same
-    block of sigma gamma^{-1} sigma^T.  On the protocol's working family
-    this verdict coincides with the NPPT verdict.
+    The condition (d + f - 2e)/(df - e^2) - (a + c + 2b)/(ac - b^2) < 0,
+    with (a, b, c) from the measured block of gamma and (d, e, f) from the
+    same block of sigma gamma^{-1} sigma^T, is k_F - k_B < 0: the
+    individual condition on the X quadratures of the first mode on each
+    side of ``split``.  On the protocol's working family this verdict
+    coincides with the NPPT verdict.
     """
-    _require_physical(state)
-    if split.n_modes != state.n_modes:
-        raise ValueError(
-            f"split {split.n_a}+{split.n_b} does not match {state.n_modes} modes"
-        )
-    coords = (
-        _default_coords(state, split)
-        if measured_x_coords is None
-        else _check_x_coords(state, measured_x_coords)
-    )
-    ix = np.asarray(coords)
-    n = state.n_modes
-    sigma = symplectic_form(n)
-    G = sigma @ np.linalg.inv(state.cov) @ sigma.T
-    Gx = G[np.ix_(ix, ix)]
-    gx = state.cov[np.ix_(ix, ix)]
-    d, e, f = Gx[0, 0], Gx[0, 1], Gx[1, 1]
-    a, b, c = gx[0, 0], gx[0, 1], gx[1, 1]
-    expr = (d + f - 2 * e) / (d * f - e * e) - (a + c + 2 * b) / (a * c - b * b)
-    return bool(expr < -EXPONENT_MARGIN)
+    k_b, k_f = _checked_exponents(state, measured_x_coords, split)
+    return bool(k_b - k_f > EXPONENT_MARGIN)
 
 
 class AdExponents(NamedTuple):
@@ -320,8 +272,7 @@ def advantage_distillation_exponents(
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    k_b = eps_ratio_exponent(state, measured_x_coords)
-    k_f = eve_fidelity_exponent(state, measured_x_coords)
+    k_b, k_f = _checked_exponents(state, measured_x_coords)
     return AdExponents(
         bob=-n_rounds * k_b,
         eve_individual=-n_rounds * k_f,
@@ -349,10 +300,12 @@ def key_rate_estimate(
     collective security verdict for large N; the magnitude is not a proven
     bound.
     """
+    return _key_rate(*_checked_exponents(state, measured_x_coords), n_rounds, x0)
+
+
+def _key_rate(k_b: float, k_f: float, n_rounds: int, x0: float) -> float:
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    k_b = eps_ratio_exponent(state, measured_x_coords)
-    k_f = eve_fidelity_exponent(state, measured_x_coords)
     r_n = math.exp(-n_rounds * k_b * x0 ** 2)
     eps_bn = r_n / (1.0 + r_n)
     overlap_n = math.exp(-n_rounds * k_f * x0 ** 2)
@@ -417,21 +370,18 @@ def analyze_state(
         if state.n_modes != 2:
             raise ValueError("split is required for states with more than 2 modes")
         split = BipartiteSplit(1, 1)
-    coords = (
-        _default_coords(state, split)
-        if measured_x_coords is None
-        else _check_x_coords(state, measured_x_coords)
-    )
+    # is_nppt holds the one physicality check of this call
     nppt = is_nppt(state, split)
-    individual = individual_condition(state, coords) and nppt
-    collective = collective_condition(state, coords) and individual
+    k_b, k_f = _exponents(state, _resolve_x_coords(state, split, measured_x_coords))
+    individual = k_b - k_f > EXPONENT_MARGIN and nppt
+    collective = k_b - 2.0 * k_f > EXPONENT_MARGIN and individual
     return SecurityReport(
-        eps_ratio_exponent=-eps_ratio_exponent(state, coords),
-        fidelity_exponent=-eve_fidelity_exponent(state, coords),
+        eps_ratio_exponent=-k_b,
+        fidelity_exponent=-k_f,
         ppt=not nppt,
         individual_secure=individual,
         collective_secure=collective,
-        key_rate_estimate=key_rate_estimate(state, coords, n_rounds=n_rounds),
+        key_rate_estimate=_key_rate(k_b, k_f, n_rounds, 1.0),
         n_rounds=n_rounds,
     )
 
@@ -447,8 +397,8 @@ def symmetric_collective_boundary(lam: float) -> float:
         raise ValueError("lam must exceed 1")
 
     def gap(c):
-        state = make_symmetric_state(SymmetricStateParams(lam, c, c))
-        return eps_ratio_exponent(state) - 2.0 * eve_fidelity_exponent(state)
+        k_b, k_f = _checked_exponents(make_symmetric_state(SymmetricStateParams(lam, c, c)))
+        return k_b - 2.0 * k_f
 
     lo = lam - 1.0 + 1e-9
     hi = np.sqrt(lam ** 2 - 1.0) - 1e-9

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InsufficientStatistics, NoAcceptedSamples
-from .states import GaussianState, quadrature_density
+from .states import GaussianState, _resolve_x_coords, quadrature_density
 
 CHUNK = 1 << 20
 
@@ -94,20 +94,22 @@ def _stream(seed: int, lane: int, index: int) -> np.random.Generator:
 
 
 def sample_postselected_bits(
-    state: GaussianState, cfg: ProtocolConfig, modes=(0, 1)
+    state: GaussianState, cfg: ProtocolConfig, measured_x_coords=None
 ) -> PostSelectedBits:
     """Run the measurement and post-selection stage.
 
     Draws (X_A, X_B) pairs from the marginal density of the two measured X
     quadratures, keeps draws with | |X_i| - x0 | <= delta on both sides,
-    and binarizes positive to 0, negative to 1.
+    and binarizes positive to 0, negative to 1.  ``measured_x_coords``
+    resolves as in the security analysis: by default the X quadratures of
+    modes 0 and 1.
 
     Raises
     ------
     NoAcceptedSamples
         If the window accepts nothing.
     """
-    density = quadrature_density(state, [2 * modes[0], 2 * modes[1]])
+    density = quadrature_density(state, _resolve_x_coords(state, coords=measured_x_coords))
     L = np.linalg.cholesky(density.cov)
     bits_a_parts, bits_b_parts = [], []
     remaining = cfg.n_samples
@@ -180,9 +182,11 @@ def advantage_distillation(
     return distilled_a, distilled_b, float(accept.mean())
 
 
-def run_simulation(state: GaussianState, cfg: ProtocolConfig, modes=(0, 1)) -> SimulationResult:
+def run_simulation(
+    state: GaussianState, cfg: ProtocolConfig, measured_x_coords=None
+) -> SimulationResult:
     """Measurement stage followed by one advantage-distillation pass."""
-    stage = sample_postselected_bits(state, cfg, modes)
+    stage = sample_postselected_bits(state, cfg, measured_x_coords)
     rng = _stream(cfg.seed, _LANE_AD, 0)
     dist_a, dist_b, ad_yield = advantage_distillation(
         stage.bits_a, stage.bits_b, cfg.n_rounds, rng
@@ -270,7 +274,7 @@ def slope_check(
     state: GaussianState,
     cfg: ProtocolConfig,
     n_range=range(1, 9),
-    modes=(0, 1),
+    measured_x_coords=None,
     target_errors: int = 150,
     max_blocks_per_n: int = 2_000_000_000,
 ) -> SlopeFit:
@@ -288,7 +292,7 @@ def slope_check(
     InsufficientStatistics
         If fewer than two block lengths reach the error target.
     """
-    stage = sample_postselected_bits(state, cfg, modes)
+    stage = sample_postselected_bits(state, cfg, measured_x_coords)
     eps = stage.eps_b_hat
     if eps <= 0.0 or eps >= 1.0:
         raise InsufficientStatistics("degenerate error-rate estimate")

@@ -192,6 +192,29 @@ def _check_split(state: GaussianState, split: BipartiteSplit):
         )
 
 
+def _resolve_x_coords(state: GaussianState, split: BipartiteSplit = None, coords=None):
+    """The two measured X coordinates, one per side, validated for ``state``.
+
+    ``coords`` defaults to the X quadrature of the first mode on each side
+    of ``split`` (a 1+rest split when no split is given).
+    """
+    if split is not None:
+        _check_split(state, split)
+    if coords is None:
+        coords = (0, 2 * (split.n_a if split is not None else 1))
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != 2:
+        raise ValueError("exactly one measured X coordinate per side is expected")
+    for c in coords:
+        if c < 0 or c >= 2 * state.n_modes:
+            raise ValueError(f"coordinate {c} out of range for {state.n_modes} modes")
+        if c % 2 != 0:
+            raise ValueError(f"coordinate {c} is not an X quadrature")
+    if coords[0] == coords[1]:
+        raise ValueError("the two measured coordinates must differ")
+    return coords
+
+
 def partial_transpose(state: GaussianState, split: BipartiteSplit) -> GaussianState:
     """Partial transposition on Bob's side at the covariance level.
 
@@ -319,7 +342,10 @@ def random_physical_state(
     S = expm(symplectic_form(n_modes) @ (H + H.T))
     nu = 1.0 + rng.random(n_modes) * (nu_max - 1.0)
     D = np.diag(np.repeat(nu, 2))
-    return GaussianState(S @ D @ S.T)
+    cov = S @ D @ S.T
+    # rounding leaves S D S^T asymmetric by more than the absolute
+    # symmetry tolerance once the squeezing makes its entries large
+    return GaussianState(0.5 * (cov + cov.T))
 
 
 # ---------------------------------------------------------------------------

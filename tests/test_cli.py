@@ -2,8 +2,8 @@ import json
 
 import numpy as np
 
-from cvprivacy import state_to_json, symmetric_state, vacuum_state
-from cvprivacy.cli import SweepSpec, main, render_sweep
+from cvprivacy import reorder_modes, state_to_json, symmetric_state, tensor, vacuum_state
+from cvprivacy.cli import main
 
 
 def write_state(tmp_path, name, state):
@@ -94,12 +94,6 @@ def test_sweep_boundaries_on_coarse_grid(capsys):
     assert abs(c_ent - 1.0) <= spacing
 
 
-def test_sweep_x0_independent_bytes():
-    spec_a = SweepSpec((1.0, 4.0, 30), (0.0, 3.9, 30), x0=1.0)
-    spec_b = SweepSpec((1.0, 4.0, 30), (0.0, 3.9, 30), x0=5.0)
-    assert render_sweep(spec_a) == render_sweep(spec_b)
-
-
 def test_sweep_grid_parse_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "--grid", "nonsense")
     assert code == 1
@@ -117,6 +111,25 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     doc = json.loads(out_a)
     assert doc["seed"] == 7
     assert 0.0 <= doc["eps_b_hat"] <= 1.0
+
+
+def test_simulate_split_measures_what_analyze_analyzes(tmp_path, capsys):
+    # the pair sits on modes 0 and 2, vacuum on mode 1; split 2+1 measures
+    # the X quadratures of modes 0 and 2 in both commands
+    pair = symmetric_state(2.0, 1.3, 1.3)
+    state = reorder_modes(tensor(pair, vacuum_state(1)), [0, 2, 1])
+    path = write_state(tmp_path, "s.json", state)
+    code, out, _ = run_cli(capsys, "analyze", "--state", path, "--split", "2,1")
+    assert code == 0
+    ratio = json.loads(out)["eps_ratio_at_x0"]
+    eps_analytic = ratio / (1.0 + ratio)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--state", path, "--split", "2,1", "--samples", "2000000",
+        "--delta", "0.05", "--seed", "1",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["eps_b_hat"] - eps_analytic) < 4 * doc["eps_b_se"]
 
 
 def test_simulate_insufficient_statistics_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import cvprivacy
 from cvprivacy import (
     BipartiteSplit,
     advantage_distillation_exponents,
@@ -257,6 +260,26 @@ def test_report_examples():
     assert rep.collective_secure and rep.individual_secure
     rep = analyze_state(vacuum_state(2))
     assert rep.ppt and not rep.individual_secure and not rep.collective_secure
+
+
+@pytest.mark.parametrize(
+    "state, split",
+    [
+        (symmetric_state(2.0, 1.3, 1.3), SPLIT_11),
+        (tensor(symmetric_state(2.0, 1.3, 1.3), vacuum_state(1)), BipartiteSplit(1, 2)),
+    ],
+)
+def test_report_computes_two_spectra(monkeypatch, state, split):
+    # one spectrum of gamma for physicality, one of its partial transpose
+    calls = []
+    real = cvprivacy.symplectic_eigenvalues
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cvprivacy.") and hasattr(module, "symplectic_eigenvalues"):
+            monkeypatch.setattr(
+                module, "symplectic_eigenvalues", lambda C: calls.append(C) or real(C)
+            )
+    analyze_state(state, split)
+    assert len(calls) == 2
 
 
 def test_report_nesting_invariants_on_random_states():

@@ -260,3 +260,13 @@ def test_json_rejects_asymmetric_cov():
 def test_random_physical_state_is_physical():
     for _ in range(20):
         assert is_physical(random_physical_state(RNG, int(RNG.integers(1, 4))))
+
+
+def test_random_physical_state_strong_mixing():
+    # large squeezing must not trip the symmetry check; the draws that
+    # is_physical still rejects are conditioned past float64
+    rng = np.random.default_rng(0)
+    for i in range(300):
+        state = random_physical_state(rng, 2 + i % 3, mixing=2.0)
+        if np.linalg.cond(state.cov) < 1e12:
+            assert is_physical(state)
