@@ -27,15 +27,15 @@ print(f"empirical eps_B = {stage.eps_b_hat:.5f} +- {stage.eps_b_se:.5f}")
 
 print("\n== One advantage-distillation pass (N = 3) ==")
 cfg3 = ProtocolConfig(x0=1.0, delta=0.05, n_samples=5_000_000, seed=12, n_rounds=3)
-result = run_simulation(state, cfg3)
+result = run_simulation(sample_postselected_bits(state, cfg3), cfg3)
 print(f"block yield {result.ad_yield:.3f}, distilled error "
       f"{result.eps_bn_hat:.5f} +- {result.eps_bn_se:.5f}")
 exact = stage.eps_b_hat ** 3 / (stage.eps_b_hat ** 3 + (1 - stage.eps_b_hat) ** 3)
 print(f"i.i.d. prediction eps^3/(eps^3 + (1-eps)^3) = {exact:.5f}")
 
 print("\n== Error decay rate across block lengths ==")
-fit = slope_check(state, ProtocolConfig(x0=1.0, delta=0.02, n_samples=20_000_000,
-                                        seed=13), range(1, 6))
+slope_cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=20_000_000, seed=13)
+fit = slope_check(sample_postselected_bits(state, slope_cfg), slope_cfg, range(1, 6))
 ratio = analytic / (1 - analytic)
 print(f"{'N':>3} {'eps_BN':>12} {'blocks':>12}")
 for p in fit.points:

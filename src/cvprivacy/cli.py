@@ -148,7 +148,8 @@ def cmd_simulate(args) -> int:
         n_samples=args.samples,
         seed=_resolve_seed(args),
     )
-    result = simulate.run_simulation(state, cfg, coords)
+    stage = simulate.sample_postselected_bits(state, cfg, coords)
+    result = simulate.run_simulation(stage, cfg)
     text = json.dumps(result.to_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -156,7 +157,7 @@ def cmd_simulate(args) -> int:
     else:
         print(text)
     if args.slope_csv:
-        fit = simulate.slope_check(state, cfg, range(1, cfg.n_rounds + 1), coords)
+        fit = simulate.slope_check(stage, cfg, range(1, cfg.n_rounds + 1))
         with open(args.slope_csv, "w", encoding="utf-8") as fh:
             fh.write(fit.to_csv())
     return 0

@@ -2,10 +2,19 @@
 
 Quadrature pairs are drawn from the state's marginal density, kept when
 both magnitudes land within a window around X0, binarized by sign, and
-fed through repetition-block advantage distillation.  All randomness comes
-from counter-based Philox streams keyed on the run seed, with one stream
-per fixed-size chunk, so results are bit-reproducible for a given
-configuration.
+fed through repetition-block advantage distillation.  One sampling stage
+feeds both the single distillation pass and the slope fit.  All randomness
+comes from counter-based Philox streams keyed on the run seed: one stream
+per fixed-size chunk of raw draws, one for the distillation pass and one
+per block length of the slope fit, so results are bit-reproducible for a
+given configuration.
+
+The slope fit draws each block length's counts in aggregate.  Over an
+i.i.d. error process a block is rejected, accepted correct or accepted in
+error with probabilities 1 - p_acc, (1 - eps)^N and eps^N, where
+p_acc = eps^N + (1 - eps)^N; the counts over n blocks are multinomial, so
+a binomial for the accepted blocks followed by a binomial for the errors
+among them has exactly the distribution of counting block by block.
 """
 
 import math
@@ -182,11 +191,12 @@ def advantage_distillation(
     return distilled_a, distilled_b, float(accept.mean())
 
 
-def run_simulation(
-    state: GaussianState, cfg: ProtocolConfig, measured_x_coords=None
-) -> SimulationResult:
-    """Measurement stage followed by one advantage-distillation pass."""
-    stage = sample_postselected_bits(state, cfg, measured_x_coords)
+def run_simulation(stage: PostSelectedBits, cfg: ProtocolConfig) -> SimulationResult:
+    """One advantage-distillation pass over the measurement stage's bits.
+
+    ``stage`` is the result of ``sample_postselected_bits`` for ``cfg``;
+    the pass groups its bits into blocks of ``cfg.n_rounds``.
+    """
     rng = _stream(cfg.seed, _LANE_AD, 0)
     dist_a, dist_b, ad_yield = advantage_distillation(
         stage.bits_a, stage.bits_b, cfg.n_rounds, rng
@@ -251,56 +261,61 @@ def _ad_block_stats(
 
     Bob's decoded symbols are c XOR e_i, so a block's outcome depends only
     on its error count: accepted when the count is 0 or n_rounds, a
-    distilled error when it is n_rounds.  The count is drawn per block as
-    a binomial over the i.i.d. position errors.
+    distilled error when it is n_rounds.  The blocks' outcomes are
+    multinomial, so the accepted count is one binomial draw with
+    p_acc = eps^N + (1 - eps)^N and the error count one binomial draw over
+    the accepted blocks with eps^N / p_acc, both from the single stream
+    (seed, distillation lane, lane_index).
     """
-    accepted = 0
-    errors = 0
-    done = 0
-    chunk_idx = 0
-    block_chunk = 2 * CHUNK
-    while done < n_blocks:
-        m = min(block_chunk, n_blocks - done)
-        rng = _stream(seed, _LANE_AD, (lane_index << 32) + chunk_idx)
-        counts = rng.binomial(n_rounds, eps, size=m)
-        accepted += int(np.count_nonzero((counts == 0) | (counts == n_rounds)))
-        errors += int(np.count_nonzero(counts == n_rounds))
-        done += m
-        chunk_idx += 1
+    p_err = eps ** n_rounds
+    p_acc = p_err + (1.0 - eps) ** n_rounds
+    if p_acc == 0.0:
+        return 0, 0
+    rng = _stream(seed, _LANE_AD, lane_index)
+    accepted = int(rng.binomial(n_blocks, p_acc))
+    errors = int(rng.binomial(accepted, p_err / p_acc))
     return accepted, errors
 
 
 def slope_check(
-    state: GaussianState,
+    stage: PostSelectedBits,
     cfg: ProtocolConfig,
     n_range=range(1, 9),
-    measured_x_coords=None,
     target_errors: int = 150,
     max_blocks_per_n: int = 2_000_000_000,
 ) -> SlopeFit:
     """Fit the decay rate of the distilled error across block lengths.
 
-    Stage one estimates Bob's error rate from windowed post-selection;
-    stage two simulates the distillation error process at each block
-    length with enough blocks for ``target_errors`` expected errors, then
-    fits log eps_BN against N by least squares.  Block lengths whose
-    error budget would exceed ``max_blocks_per_n`` are flagged
-    insufficient and excluded.
+    ``stage`` is the result of ``sample_postselected_bits`` for ``cfg``;
+    its error-rate estimate drives the distillation error process, which
+    is simulated at each block length with enough blocks for
+    ``target_errors`` expected errors, and log eps_BN is fitted against N
+    by least squares.  A block length whose budget would exceed
+    ``max_blocks_per_n`` blocks is simulated with that many, flagged
+    insufficient and excluded from the fit: the cap bounds the statistics
+    behind a point, not the runtime, which is the same for every budget.
 
     Raises
     ------
     InsufficientStatistics
         If fewer than two block lengths reach the error target.
     """
-    stage = sample_postselected_bits(state, cfg, measured_x_coords)
     eps = stage.eps_b_hat
     if eps <= 0.0 or eps >= 1.0:
         raise InsufficientStatistics("degenerate error-rate estimate")
     points = []
     for n in n_range:
-        n_blocks = int(min(max_blocks_per_n, math.ceil(target_errors / eps ** n)))
+        expected_rate = eps ** n
+        # compared before dividing: once eps^n is tiny, target_errors / eps^n
+        # is too large for ceil, and once it underflows to 0 it divides by zero
+        capped = expected_rate * max_blocks_per_n < target_errors
+        n_blocks = (
+            max_blocks_per_n
+            if capped
+            else min(max_blocks_per_n, math.ceil(target_errors / expected_rate))
+        )
         accepted, errors = _ad_block_stats(eps, n, n_blocks, cfg.seed, lane_index=n)
-        sufficient = errors >= 100 and accepted > errors
+        sufficient = not capped and errors >= 100 and accepted > errors
         eps_bn = errors / accepted if accepted else float("nan")
         points.append(
             SlopePoint(

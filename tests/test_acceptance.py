@@ -201,7 +201,7 @@ def test_criterion_5_monte_carlo():
     assert eps_error < 3 * stage.eps_b_se
 
     slope_cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=60_000_000, seed=4242)
-    fit = slope_check(state, slope_cfg, range(1, 9))
+    fit = slope_check(sample_postselected_bits(state, slope_cfg), slope_cfg, range(1, 9))
     slope_target = -1.875
     slope_rel_error = abs(fit.slope - slope_target) / abs(slope_target)
     elapsed = time.time() - start

@@ -1,8 +1,19 @@
 import json
+import sys
 
 import numpy as np
 
-from cvprivacy import reorder_modes, state_to_json, symmetric_state, tensor, vacuum_state
+import cvprivacy
+from cvprivacy import (
+    ProtocolConfig,
+    reorder_modes,
+    sample_postselected_bits,
+    slope_check,
+    state_to_json,
+    symmetric_state,
+    tensor,
+    vacuum_state,
+)
 from cvprivacy.cli import main
 
 
@@ -111,6 +122,45 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     doc = json.loads(out_a)
     assert doc["seed"] == 7
     assert 0.0 <= doc["eps_b_hat"] <= 1.0
+
+
+SLOPE_ARGS = ("--samples", "400000", "--delta", "0.05", "--n-rounds", "3", "--seed", "9")
+
+
+def test_simulate_samples_once(tmp_path, capsys, monkeypatch):
+    # the distillation pass and the slope fit share one sampling stage
+    calls = []
+    real = cvprivacy.sample_postselected_bits
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cvprivacy.") and hasattr(module, "sample_postselected_bits"):
+            monkeypatch.setattr(
+                module,
+                "sample_postselected_bits",
+                lambda *a, **k: calls.append(a) or real(*a, **k),
+            )
+    path = write_state(tmp_path, "s.json", symmetric_state(2.0, 1.2, 1.2))
+    csv = tmp_path / "slope.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--state", path, *SLOPE_ARGS,
+                         "--slope-csv", str(csv))
+    assert code == 0
+    assert csv.exists()
+    assert len(calls) == 1
+
+
+def test_simulate_slope_csv_seeded_and_equal_to_library(tmp_path, capsys):
+    state = symmetric_state(2.0, 1.2, 1.2)
+    path = write_state(tmp_path, "s.json", state)
+    texts = []
+    for name in ("a.csv", "b.csv"):
+        csv = tmp_path / name
+        code, _, _ = run_cli(capsys, "simulate", "--state", path, *SLOPE_ARGS,
+                             "--slope-csv", str(csv))
+        assert code == 0
+        texts.append(csv.read_bytes())
+    assert texts[0] == texts[1]
+    cfg = ProtocolConfig(x0=1.0, delta=0.05, n_rounds=3, n_samples=400_000, seed=9)
+    fit = slope_check(sample_postselected_bits(state, cfg), cfg, range(1, 4))
+    assert texts[0].decode("utf-8") == fit.to_csv()
 
 
 def test_simulate_split_measures_what_analyze_analyzes(tmp_path, capsys):

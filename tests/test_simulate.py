@@ -13,6 +13,7 @@ from cvprivacy import (
     symmetric_state,
     tensor,
 )
+from cvprivacy.simulate import _ad_block_stats
 
 REFERENCE = symmetric_state(2.0, 1.2, 1.2)
 # eps_B at (lam=2, c=1.2), X0=1, from the odds ratio exp(-1.875)
@@ -30,8 +31,8 @@ def test_config_validation():
 
 def test_determinism_bit_identical():
     cfg = ProtocolConfig(x0=1.0, delta=0.05, n_samples=500_000, seed=123, n_rounds=2)
-    a = run_simulation(REFERENCE, cfg)
-    b = run_simulation(REFERENCE, cfg)
+    a = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg)
+    b = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg)
     assert a.accepted_pairs == b.accepted_pairs
     assert a.eps_b_hat == b.eps_b_hat
     assert a.eps_bn_hat == b.eps_bn_hat
@@ -114,21 +115,21 @@ def test_ad_iid_flips_match_binomial_analysis(n_rounds):
 
 def test_ad_distillation_reduces_error():
     cfg = ProtocolConfig(x0=1.0, delta=0.1, n_samples=8_000_000, seed=9, n_rounds=2)
-    result = run_simulation(REFERENCE, cfg)
+    result = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg)
     assert result.ad_yield <= 1.0
     assert result.eps_bn_hat <= result.eps_b_hat
 
 
 def test_slope_check_reference_state():
     cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=8_000_000, seed=13)
-    fit = slope_check(REFERENCE, cfg, range(1, 5))
+    fit = slope_check(sample_postselected_bits(REFERENCE, cfg), cfg, range(1, 5))
     assert abs(fit.slope - (-1.875)) < 0.08
 
 
 def test_slope_check_product_state_flat():
     state = tensor(single_mode_thermal(2.0), single_mode_thermal(2.0))
     cfg = ProtocolConfig(x0=1.0, delta=0.1, n_samples=2_000_000, seed=14)
-    fit = slope_check(state, cfg, range(1, 4))
+    fit = slope_check(sample_postselected_bits(state, cfg), cfg, range(1, 4))
     # eps stays 1/2: log eps_BN is constant up to noise
     assert abs(fit.slope) < 0.05
 
@@ -138,7 +139,7 @@ def test_slope_invariant_under_window_width():
     fits = []
     for delta, seed in ((0.005, 31), (0.02, 32)):
         cfg = ProtocolConfig(x0=1.0, delta=delta, n_samples=20_000_000, seed=seed)
-        fits.append(slope_check(REFERENCE, cfg, n_range))
+        fits.append(slope_check(sample_postselected_bits(REFERENCE, cfg), cfg, n_range))
     gap = abs(fits[0].slope - fits[1].slope)
     assert gap < 3 * (fits[0].stderr + fits[1].stderr) + 0.05
 
@@ -146,4 +147,40 @@ def test_slope_invariant_under_window_width():
 def test_slope_check_insufficient_statistics():
     cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=1_000_000, seed=15)
     with pytest.raises(InsufficientStatistics):
-        slope_check(REFERENCE, cfg, range(6, 9), max_blocks_per_n=1_000)
+        slope_check(
+            sample_postselected_bits(REFERENCE, cfg), cfg, range(6, 9), max_blocks_per_n=1_000
+        )
+
+
+def test_slope_check_far_block_lengths_are_flagged():
+    # eps^N falls below 1e-306 past N ~ 345 and underflows to 0 past N ~ 365;
+    # those budgets are capped, drawn and flagged, not divided out
+    cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=2_000_000, seed=16)
+    stage = sample_postselected_bits(REFERENCE, cfg)
+    fit = slope_check(stage, cfg, range(1, 401))
+    assert len(fit.points) == 400
+    assert abs(fit.slope - (-1.875)) < 0.2
+    for p in fit.points:
+        if stage.eps_b_hat ** p.n_rounds * 2_000_000_000 < 150:
+            assert p.blocks == 2_000_000_000
+            assert not p.sufficient
+    assert not any(p.sufficient for p in fit.points[20:])
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("n_rounds", [1, 4, 8])
+def test_aggregate_block_counts_match_multinomial(eps, n_rounds):
+    n_blocks = 10_000_000
+    accepted, errors = _ad_block_stats(eps, n_rounds, n_blocks, seed=77, lane_index=n_rounds)
+    p_err = eps ** n_rounds
+    p_acc = p_err + (1.0 - eps) ** n_rounds
+    q = p_err / p_acc
+    assert abs(accepted - n_blocks * p_acc) <= 6 * np.sqrt(n_blocks * p_acc * (1 - p_acc))
+    assert abs(errors - accepted * q) <= 6 * np.sqrt(accepted * q * (1 - q))
+    again = _ad_block_stats(eps, n_rounds, n_blocks, seed=77, lane_index=n_rounds)
+    assert again == (accepted, errors)
+
+
+def test_aggregate_block_counts_at_the_block_cap():
+    accepted, errors = _ad_block_stats(0.13, 8, 2_000_000_000, seed=1, lane_index=8)
+    assert 0 <= errors <= accepted <= 2_000_000_000
