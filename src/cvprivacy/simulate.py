@@ -5,9 +5,17 @@ both magnitudes land within a window around X0, binarized by sign, and
 fed through repetition-block advantage distillation.  One sampling stage
 feeds both the single distillation pass and the slope fit.  All randomness
 comes from counter-based Philox streams keyed on the run seed: one stream
-per fixed-size chunk of raw draws, one for the distillation pass and one
-per block length of the slope fit, so results are bit-reproducible for a
-given configuration.
+for the window counts, one for the distillation pass and one per block
+length of the slope fit, so results are bit-reproducible for a given
+configuration.
+
+The window counts are drawn in aggregate.  A raw draw lands in one of the
+four window boxes (+-x0 +- delta) x (+-x0 +- delta) or is rejected, and a
+kept pair's bits depend only on its box, so the five counts over n draws
+are multinomial.  The box probabilities are one-dimensional integrals over
+Alice's interval, computed by piecewise Gauss-Legendre quadrature; one
+multinomial draw then replaces drawing every raw pair, and the cost of
+the stage does not grow with the number of raw draws.
 
 The slope fit draws each block length's counts in aggregate.  Over an
 i.i.d. error process a block is rejected, accepted correct or accepted in
@@ -17,20 +25,40 @@ a binomial for the accepted blocks followed by a binomial for the errors
 among them has exactly the distribution of counting block by block.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .exceptions import InsufficientStatistics, NoAcceptedSamples
-from .states import GaussianState, _resolve_x_coords, quadrature_density
-
-CHUNK = 1 << 20
+from .states import GaussianDensity, GaussianState, _resolve_x_coords, quadrature_density
 
 # Stream-lane offsets keep the sampling and distillation draws on disjoint
 # Philox keys for one seed.
 _LANE_SAMPLING = 0
 _LANE_AD = 1
+
+# A distillation pass with fewer distilled errors than this cannot resolve
+# its error rate; SimulationResult.to_dict flags it as thin.
+THIN_ERRORS = 10
+
+# The window boxes as (sign of X_A, sign of X_B), in multinomial cell order.
+_BOX_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+
+# Box quadrature, over Alice's interval in units of her standard deviation.
+# Bob's edge terms Phi(b - beta z) bend within _KINK_HALF_WIDTH / |beta| of
+# each edge crossing and are flat to rounding outside it (Phi(-8) ~ 6e-16),
+# so a piece ends at each crossing and at both ends of its bend.  Alice's
+# density is split at _PHI_BREAKS, so that no piece near her mean spans more
+# than a few of her standard deviations.  The interval ends are graded
+# geometrically, which resolves a box whose mass sits in a steep tail at one
+# end.
+_GL_NODES = 32
+_KINK_HALF_WIDTH = 8.0
+_PHI_BREAKS = (-6.0, -3.0, 0.0, 3.0, 6.0)
+_END_GRADING = 8.0 ** -np.arange(1, 7)
 
 
 @dataclass(frozen=True)
@@ -58,7 +86,11 @@ class ProtocolConfig:
 
 @dataclass(frozen=True, eq=False)
 class PostSelectedBits:
-    """Accepted bit pairs from the measurement stage, with error stats."""
+    """Accepted bit pairs from the measurement stage, with error stats.
+
+    ``window_probability`` is the analytic probability that one raw draw
+    lands in the window.
+    """
 
     bits_a: np.ndarray
     bits_b: np.ndarray
@@ -66,6 +98,7 @@ class PostSelectedBits:
     accepted_pairs: int
     eps_b_hat: float
     eps_b_se: float
+    window_probability: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +106,12 @@ class SimulationResult:
     """Empirical protocol statistics for one configuration."""
 
     accepted_pairs: int
+    n_raw: int
+    window_probability: float
     eps_b_hat: float
     eps_b_se: float
+    distilled_blocks: int
+    distilled_errors: int
     eps_bn_hat: float
     eps_bn_se: float
     ad_yield: float
@@ -82,12 +119,18 @@ class SimulationResult:
     config: ProtocolConfig
 
     def to_dict(self) -> dict:
+        """JSON-ready summary; ``thin`` is set below THIN_ERRORS distilled errors."""
         return {
             "accepted_pairs": self.accepted_pairs,
+            "n_raw": self.n_raw,
+            "window_probability": self.window_probability,
             "eps_b_hat": self.eps_b_hat,
             "eps_b_se": self.eps_b_se,
+            "distilled_blocks": self.distilled_blocks,
+            "distilled_errors": self.distilled_errors,
             "eps_bn_hat": self.eps_bn_hat,
             "eps_bn_se": self.eps_bn_se,
+            "thin": self.distilled_errors < THIN_ERRORS,
             "ad_yield": self.ad_yield,
             "n_rounds": self.n_rounds,
             "x0": self.config.x0,
@@ -98,8 +141,62 @@ class SimulationResult:
 
 
 def _stream(seed: int, lane: int, index: int) -> np.random.Generator:
-    """Deterministic Philox stream for (seed, lane, chunk index)."""
+    """Deterministic Philox stream for (seed, lane, index)."""
     return np.random.Generator(np.random.Philox(key=seed + (lane << 64)).jumped(index))
+
+
+@functools.cache
+def _gauss_legendre():
+    """The fixed Gauss-Legendre rule, built on first use."""
+    t, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
+def _box_probabilities(density: GaussianDensity, x0: float, delta: float) -> np.ndarray:
+    """Probability that one draw lands in each window box, in _BOX_SIGNS order.
+
+    With L the Cholesky factor of the density's covariance, X_A = m_A + L11 z
+    for a standard normal z, and given z, X_B is normal with mean
+    m_B + L21 z and width L22.  A box's probability is therefore the
+    integral over Alice's interval, in z, of
+    phi(z) [Phi(b_hi - beta z) - Phi(b_lo - beta z)], with Bob's edges b
+    standardized by L22 and beta = L21 / L22.  Each integral is summed over
+    pieces of a fixed Gauss-Legendre rule (see _KINK_HALF_WIDTH).
+    """
+    (l11, _), (l21, l22) = np.linalg.cholesky(density.cov)
+    beta = l21 / l22
+    starts, ends, edges = [], [], []
+    for sa, sb in _BOX_SIGNS:
+        p = (sa * x0 - delta - density.mean[0]) / l11
+        q = (sa * x0 + delta - density.mean[0]) / l11
+        b_lo = (sb * x0 - delta - density.mean[1]) / l22
+        b_hi = (sb * x0 + delta - density.mean[1]) / l22
+        cuts = [*_PHI_BREAKS, *(p + (q - p) * _END_GRADING), *(q - (q - p) * _END_GRADING)]
+        if beta != 0.0:
+            bend = _KINK_HALF_WIDTH / abs(beta)
+            for crossing in (b_lo / beta, b_hi / beta):
+                cuts += [crossing - bend, crossing, crossing + bend]
+        cuts = np.array(cuts)
+        knots = np.unique(np.concatenate(([p, q], cuts[(cuts > p) & (cuts < q)])))
+        starts.append(knots[:-1])
+        ends.append(knots[1:])
+        edges.append((b_lo, b_hi))
+    n_pieces = [piece.size for piece in starts]
+    a, b = np.concatenate(starts), np.concatenate(ends)
+    b_lo, b_hi = np.repeat(np.array(edges), n_pieces, axis=0).T
+    t, w = _gauss_legendre()
+    half = ((b - a) / 2.0)[:, None]
+    z = (a + b)[:, None] / 2.0 + half * t
+    lo = b_lo[:, None] - beta * z
+    hi = b_hi[:, None] - beta * z
+    # difference of upper tails when both edges sit above the mean, so a
+    # box far in Bob's upper tail keeps its relative precision
+    bob = np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    pieces = np.sum(half * w * np.exp(-0.5 * z * z) * bob, axis=1)
+    box = np.repeat(np.arange(len(_BOX_SIGNS)), n_pieces)
+    return np.bincount(box, pieces, minlength=len(_BOX_SIGNS)) / math.sqrt(2.0 * math.pi)
 
 
 def sample_postselected_bits(
@@ -107,50 +204,49 @@ def sample_postselected_bits(
 ) -> PostSelectedBits:
     """Run the measurement and post-selection stage.
 
-    Draws (X_A, X_B) pairs from the marginal density of the two measured X
-    quadratures, keeps draws with | |X_i| - x0 | <= delta on both sides,
-    and binarizes positive to 0, negative to 1.  ``measured_x_coords``
-    resolves as in the security analysis: by default the X quadratures of
-    modes 0 and 1.
+    Draws ``cfg.n_samples`` (X_A, X_B) pairs from the marginal density of
+    the two measured X quadratures, keeps draws with | |X_i| - x0 | <= delta
+    on both sides, and binarizes positive to 0, negative to 1.  The counts
+    per window box are one multinomial draw over the exact box
+    probabilities, so the kept pairs come out grouped by box; the draw
+    costs the same for any ``cfg.n_samples``, and the bit arrays grow with
+    the accepted count only.  ``measured_x_coords`` resolves
+    as in the security analysis: by default the X quadratures of modes 0
+    and 1.
 
     Raises
     ------
     NoAcceptedSamples
-        If the window accepts nothing.
+        If the window has no probability or accepts nothing.
     """
     density = quadrature_density(state, _resolve_x_coords(state, coords=measured_x_coords))
-    L = np.linalg.cholesky(density.cov)
-    bits_a_parts, bits_b_parts = [], []
-    remaining = cfg.n_samples
-    chunk_idx = 0
-    while remaining > 0:
-        m = min(CHUNK, remaining)
-        rng = _stream(cfg.seed, _LANE_SAMPLING, chunk_idx)
-        xy = rng.standard_normal((m, 2)) @ L.T + density.mean
-        keep = (np.abs(np.abs(xy[:, 0]) - cfg.x0) <= cfg.delta) & (
-            np.abs(np.abs(xy[:, 1]) - cfg.x0) <= cfg.delta
+    boxes = _box_probabilities(density, cfg.x0, cfg.delta)
+    p_window = float(np.sum(boxes))
+    if not (np.all(np.isfinite(boxes)) and p_window > 0.0):
+        raise NoAcceptedSamples(
+            f"window x0={cfg.x0}, delta={cfg.delta} has probability {p_window}"
         )
-        kept = xy[keep]
-        bits_a_parts.append(kept[:, 0] < 0)
-        bits_b_parts.append(kept[:, 1] < 0)
-        remaining -= m
-        chunk_idx += 1
-    bits_a = np.concatenate(bits_a_parts)
-    bits_b = np.concatenate(bits_b_parts)
-    n_acc = bits_a.shape[0]
+    if p_window > 1.0:
+        # rounding when the boxes hold all the mass: rescale so that no cell
+        # exceeds 1 and the reject cell is 0
+        boxes, p_window = boxes / p_window, 1.0
+    rng = _stream(cfg.seed, _LANE_SAMPLING, 0)
+    counts = rng.multinomial(cfg.n_samples, [*boxes, 1.0 - p_window])[:4]
+    n_acc = int(np.sum(counts))
     if n_acc == 0:
         raise NoAcceptedSamples(
             f"no samples accepted in window x0={cfg.x0}, delta={cfg.delta}"
         )
-    eps_hat = float(np.mean(bits_a != bits_b))
+    eps_hat = float(np.sum(counts[_BOX_SIGNS[:, 0] != _BOX_SIGNS[:, 1]])) / n_acc
     se = math.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / n_acc) / n_acc)
     return PostSelectedBits(
-        bits_a=bits_a,
-        bits_b=bits_b,
+        bits_a=np.repeat(_BOX_SIGNS[:, 0] < 0, counts),
+        bits_b=np.repeat(_BOX_SIGNS[:, 1] < 0, counts),
         n_raw=cfg.n_samples,
         accepted_pairs=n_acc,
         eps_b_hat=eps_hat,
         eps_b_se=se,
+        window_probability=p_window,
     )
 
 
@@ -202,16 +298,21 @@ def run_simulation(stage: PostSelectedBits, cfg: ProtocolConfig) -> SimulationRe
         stage.bits_a, stage.bits_b, cfg.n_rounds, rng
     )
     n_dist = dist_a.shape[0]
+    n_err = int(np.count_nonzero(dist_a != dist_b))
     if n_dist == 0:
         eps_bn = float("nan")
         se_bn = float("nan")
     else:
-        eps_bn = float(np.mean(dist_a != dist_b))
+        eps_bn = n_err / n_dist
         se_bn = math.sqrt(max(eps_bn * (1.0 - eps_bn), 1.0 / n_dist) / n_dist)
     return SimulationResult(
         accepted_pairs=stage.accepted_pairs,
+        n_raw=stage.n_raw,
+        window_probability=stage.window_probability,
         eps_b_hat=stage.eps_b_hat,
         eps_b_se=stage.eps_b_se,
+        distilled_blocks=n_dist,
+        distilled_errors=n_err,
         eps_bn_hat=eps_bn,
         eps_bn_se=se_bn,
         ad_yield=float(ad_yield),

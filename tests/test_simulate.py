@@ -1,19 +1,31 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import ndtr
 
 from cvprivacy import (
+    BipartiteSplit,
+    GaussianState,
     InsufficientStatistics,
     NoAcceptedSamples,
     ProtocolConfig,
     advantage_distillation,
+    reorder_modes,
     run_simulation,
     sample_postselected_bits,
     single_mode_thermal,
     slope_check,
     symmetric_state,
     tensor,
+    two_mode_squeezed,
+    vacuum_state,
 )
-from cvprivacy.simulate import _ad_block_stats
+from cvprivacy import simulate
+from cvprivacy.simulate import _ad_block_stats, _box_probabilities
+from cvprivacy.states import GaussianDensity, _resolve_x_coords, quadrature_density
 
 REFERENCE = symmetric_state(2.0, 1.2, 1.2)
 # eps_B at (lam=2, c=1.2), X0=1, from the odds ratio exp(-1.875)
@@ -154,8 +166,9 @@ def test_slope_check_insufficient_statistics():
 
 def test_slope_check_far_block_lengths_are_flagged():
     # eps^N falls below 1e-306 past N ~ 345 and underflows to 0 past N ~ 365;
-    # those budgets are capped, drawn and flagged, not divided out
-    cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=2_000_000, seed=16)
+    # those budgets are capped, drawn and flagged, not divided out; 10^8 raw
+    # draws put the 0.2 slope bound beyond 6 standard errors of eps_b_hat
+    cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=100_000_000, seed=16)
     stage = sample_postselected_bits(REFERENCE, cfg)
     fit = slope_check(stage, cfg, range(1, 401))
     assert len(fit.points) == 400
@@ -184,3 +197,222 @@ def test_aggregate_block_counts_match_multinomial(eps, n_rounds):
 def test_aggregate_block_counts_at_the_block_cap():
     accepted, errors = _ad_block_stats(0.13, 8, 2_000_000_000, seed=1, lane_index=8)
     assert 0 <= errors <= accepted <= 2_000_000_000
+
+
+# -- the aggregate window draw against independent references ---------------
+
+# the symmetric pair on modes 0 and 2 with vacuum on mode 1; split 2+1
+# measures the X quadratures of modes 0 and 2, coordinates (0, 4)
+PAIR_2_1 = reorder_modes(tensor(symmetric_state(2.0, 1.3, 1.3), vacuum_state(1)), [0, 2, 1])
+ORACLE_STATES = {
+    "reference": (REFERENCE, None),
+    "product": (tensor(single_mode_thermal(2.0), single_mode_thermal(2.0)), None),
+    "split_2_1": (PAIR_2_1, _resolve_x_coords(PAIR_2_1, BipartiteSplit(2, 1))),
+    "displaced": (GaussianState(REFERENCE.cov, (0.3, 0.0, -0.2, 0.0)), None),
+}
+
+
+def _rejection_counts(state, cfg, coords=None, chunk=1 << 20):
+    """Reference sampler: draw every raw pair and count those in the window.
+
+    Returns (accepted pairs, pairs whose signs differ) over ``cfg.n_samples``
+    draws of the measured X quadratures, in chunks from one generator.
+    """
+    density = quadrature_density(state, _resolve_x_coords(state, coords=coords))
+    L = np.linalg.cholesky(density.cov)
+    rng = np.random.default_rng(cfg.seed)
+    accepted = errors = 0
+    remaining = cfg.n_samples
+    while remaining > 0:
+        m = min(chunk, remaining)
+        xy = rng.standard_normal((m, 2)) @ L.T + density.mean
+        kept = xy[np.all(np.abs(np.abs(xy) - cfg.x0) <= cfg.delta, axis=1)]
+        accepted += kept.shape[0]
+        errors += int(np.count_nonzero((kept[:, 0] < 0) != (kept[:, 1] < 0)))
+        remaining -= m
+    return accepted, errors
+
+
+def _quad_box_probabilities(density, x0, delta):
+    """Reference: each window box by adaptive quadrature over Alice's interval.
+
+    Boxes in the order (+, +), (+, -), (-, +), (-, -) of the signs of
+    (X_A, X_B); Bob's conditional law given X_A comes from the Cholesky
+    factor of the density's covariance, as in the sampler.
+    """
+    (l11, _), (l21, l22) = np.linalg.cholesky(density.cov)
+    slope = l21 / l11
+    m_a, m_b = density.mean
+    out = []
+    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        a_lo, a_hi = sa * x0 - delta, sa * x0 + delta
+        b_lo, b_hi = sb * x0 - delta, sb * x0 + delta
+
+        def integrand(x):
+            mu = m_b + slope * (x - m_a)
+            lo, hi = (b_lo - mu) / l22, (b_hi - mu) / l22
+            bob = ndtr(-lo) - ndtr(-hi) if lo > 0 else ndtr(hi) - ndtr(lo)
+            return math.exp(-0.5 * ((x - m_a) / l11) ** 2) / (l11 * math.sqrt(2 * math.pi)) * bob
+
+        # Bob's terms bend where his conditional mean crosses an edge
+        points = []
+        if slope != 0.0:
+            bend = 8.0 * l22 / abs(slope)
+            for edge in (b_lo, b_hi):
+                crossing = m_a + (edge - m_b) / slope
+                points += [crossing - bend, crossing, crossing + bend]
+        points = [x for x in points if a_lo < x < a_hi] or None
+        value, _ = integrate.quad(
+            integrand, a_lo, a_hi, points=points, epsabs=0.0, epsrel=1e-13, limit=500
+        )
+        out.append(value)
+    return np.array(out)
+
+
+def _tms_density(r, mean):
+    """Measured X pair of a (displaced) two-mode squeezed state, any r."""
+    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    cov = np.array([[ch, sh], [sh, ch]]) / 2.0
+    return GaussianDensity(mean=np.array(mean, dtype=float), cov=cov)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_STATES))
+def test_window_counts_match_rejection_oracle(name):
+    state, coords = ORACLE_STATES[name]
+    n, seeds = 200_000, range(1, 21)
+    acc = err = ref_acc = ref_err = 0
+    for seed in seeds:
+        cfg = ProtocolConfig(x0=1.0, delta=0.2, n_samples=n, seed=seed)
+        stage = sample_postselected_bits(state, cfg, coords)
+        p = stage.window_probability
+        assert abs(stage.accepted_pairs - n * p) <= 6 * math.sqrt(n * p * (1 - p))
+        n_err = int(np.count_nonzero(stage.bits_a != stage.bits_b))
+        assert stage.eps_b_hat == n_err / stage.accepted_pairs
+        acc, err = acc + stage.accepted_pairs, err + n_err
+        a, e = _rejection_counts(state, cfg, coords)
+        ref_acc, ref_err = ref_acc + a, ref_err + e
+    total = n * len(seeds)
+    count_se = math.sqrt(total * p * (1 - p))
+    assert abs(acc - total * p) <= 6 * count_se
+    assert abs(ref_acc - total * p) <= 6 * count_se
+    assert abs(acc - ref_acc) <= 6 * math.sqrt(2.0) * count_se
+    density = quadrature_density(state, _resolve_x_coords(state, coords=coords))
+    boxes = _box_probabilities(density, 1.0, 0.2)
+    eps_window = (boxes[1] + boxes[2]) / boxes.sum()
+    eps, ref_eps = err / acc, ref_err / ref_acc
+    se = math.sqrt(eps_window * (1 - eps_window) / acc)
+    ref_se = math.sqrt(eps_window * (1 - eps_window) / ref_acc)
+    assert abs(eps - eps_window) <= 6 * se
+    assert abs(ref_eps - eps_window) <= 6 * ref_se
+    assert abs(eps - ref_eps) <= 6 * math.hypot(se, ref_se)
+
+
+@pytest.mark.parametrize("r", np.linspace(0.0, 6.0, 7))
+def test_box_probabilities_match_adaptive_quadrature(r):
+    # strongly correlated pairs: past r ~ 3 Bob's conditional width is far
+    # below the window, so each box's integrand has kinks inside Alice's
+    # interval; r >= 4 is reached through the density alone, since
+    # two_mode_squeezed(4.0) does not pass is_physical
+    for delta in (0.01, 0.1, 0.5, 0.9):
+        for mean in ((0.0, 0.0), (0.3, -0.2), (-1.0, 0.7)):
+            density = _tms_density(r, mean)
+            got = _box_probabilities(density, 1.0, delta)
+            ref = _quad_box_probabilities(density, 1.0, delta)
+            assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref.sum()), (delta, mean, got, ref)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+def test_box_probabilities_match_adaptive_quadrature_squeezed_alice(r):
+    # Alice's X squeezed well below the window width: her density is a
+    # narrow peak inside her interval, anywhere from its centre to its edge
+    a, b = np.exp(-2.0 * r) / 2.0, 0.5
+    for rho in (0.0, 0.5):
+        cov = np.array([[a, rho * math.sqrt(a * b)], [rho * math.sqrt(a * b), b]])
+        for m_a in (0.0, 0.3, 1.0, 1.5):
+            density = GaussianDensity(mean=np.array([m_a, -0.2]), cov=cov)
+            got = _box_probabilities(density, 1.0, 0.9)
+            ref = _quad_box_probabilities(density, 1.0, 0.9)
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref.sum()), (rho, m_a, got, ref)
+
+
+def test_box_probabilities_far_in_the_tail():
+    # the window of test_no_accepted_samples_raises: a positive mass too
+    # small for 10^4 draws, kept to full relative precision
+    density = quadrature_density(REFERENCE, (0, 2))
+    got = _box_probabilities(density, 9.0, 0.001)
+    ref = _quad_box_probabilities(density, 9.0, 0.001)
+    assert 0.0 < got.sum() < 1e-20
+    assert np.all(np.abs(got - ref) <= 1e-12 * ref.sum())
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 3.75])
+def test_two_mode_squeezed_wide_window(r):
+    cfg = ProtocolConfig(x0=1.0, delta=0.9, n_samples=10_000_000, seed=3)
+    stage = sample_postselected_bits(two_mode_squeezed(r), cfg)
+    n, p = cfg.n_samples, stage.window_probability
+    assert 0.0 < p < 1.0
+    assert abs(stage.accepted_pairs - n * p) <= 6 * math.sqrt(n * p * (1 - p))
+    assert 0.0 <= stage.eps_b_hat < 0.5
+
+
+def test_window_holding_all_the_mass():
+    # X-squeezed vacua displaced to (+1, -1): every draw falls in the (+, -)
+    # box, so the box sum rounds to 1 and the reject cell is clamped at 0
+    squeezed = np.diag([np.exp(-4.0), np.exp(4.0)])
+    state = GaussianState(np.kron(np.eye(2), squeezed), (1.0, 0.0, -1.0, 0.0))
+    cfg = ProtocolConfig(x0=1.0, delta=0.9, n_samples=1_000_000, seed=2)
+    stage = sample_postselected_bits(state, cfg)
+    assert stage.window_probability == pytest.approx(1.0, abs=1e-12)
+    assert stage.accepted_pairs == cfg.n_samples
+    assert stage.eps_b_hat == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_unusable_box_probabilities_raise(monkeypatch, bad):
+    monkeypatch.setattr(
+        simulate, "_box_probabilities", lambda *a: np.array([bad, 0.0, 0.0, 0.0])
+    )
+    with pytest.raises(NoAcceptedSamples):
+        sample_postselected_bits(REFERENCE, ProtocolConfig(seed=1))
+
+
+def test_sampling_cost_does_not_grow_with_raw_draws():
+    cfg = ProtocolConfig(x0=1.0, delta=0.001, n_samples=10**12, seed=5)
+    start = time.perf_counter()
+    stage = sample_postselected_bits(REFERENCE, cfg)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    n, p = cfg.n_samples, stage.window_probability
+    assert abs(stage.accepted_pairs - n * p) <= 6 * math.sqrt(n * p * (1 - p))
+    assert abs(stage.eps_b_hat - EPS_REF) <= 6 * stage.eps_b_se
+
+
+def test_readme_example_reports_its_statistics():
+    cfg = ProtocolConfig(x0=1.0, delta=0.01, n_samples=10_000_000, seed=1, n_rounds=4)
+    doc = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg).to_dict()
+    assert doc["n_raw"] == cfg.n_samples
+    # a 0.02 x 0.02 box carries (2 delta)^2 times the density at its centre,
+    # to O(delta^2); the density at (+-1, +-1) from the probability covariance
+    prec = np.linalg.inv(REFERENCE.cov[np.ix_([0, 2], [0, 2])] / 2.0)
+    peak = math.sqrt(np.linalg.det(prec)) / (2.0 * math.pi)
+    centres = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    midpoint = sum(
+        (2 * cfg.delta) ** 2 * peak * math.exp(-0.5 * np.array(c) @ prec @ np.array(c))
+        for c in centres
+    )
+    assert doc["window_probability"] == pytest.approx(midpoint, rel=1e-3)
+    n, p = cfg.n_samples, doc["window_probability"]
+    assert abs(doc["accepted_pairs"] - n * p) <= 6 * math.sqrt(n * p * (1 - p))
+    blocks = doc["accepted_pairs"] // cfg.n_rounds
+    assert doc["distilled_blocks"] == round(doc["ad_yield"] * blocks)
+    assert doc["eps_bn_hat"] == doc["distilled_errors"] / doc["distilled_blocks"]
+    # ~140 distilled blocks at an i.i.d. error of ~4e-4 cannot resolve it
+    assert doc["distilled_errors"] < simulate.THIN_ERRORS
+    assert doc["thin"] is True
+
+    product = tensor(single_mode_thermal(2.0), single_mode_thermal(2.0))
+    cfg = ProtocolConfig(x0=1.0, delta=0.1, n_samples=2_000_000, seed=1, n_rounds=2)
+    doc = run_simulation(sample_postselected_bits(product, cfg), cfg).to_dict()
+    assert doc["distilled_errors"] >= simulate.THIN_ERRORS
+    assert doc["thin"] is False
