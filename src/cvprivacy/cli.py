@@ -6,6 +6,7 @@ input state, 3 insufficient statistics.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from .states import (
     GaussianState,
     SymmetricStateParams,
     _resolve_x_coords,
+    _symmetric_stack,
     is_nppt,
     make_symmetric_state,
     random_physical_state,
@@ -34,6 +36,11 @@ from .states import (
 from .symplectic import TAU_LIN, block_inverse, pseudo_inverse, symplectic_form, williamson
 
 SWEEP_COLUMNS = "lambda,c,physical,nppt,individual,collective"
+# Cells per stack of 4 x 4 covariances; bounds the sweep's memory on any grid.
+SWEEP_CHUNK = 4096
+# The verdict columns of a row, indexed by how many are true: the verdicts
+# nest (collective => individual => nppt => physical), so the count fixes them.
+_SWEEP_FLAGS = ("0,0,0,0", "1,0,0,0", "1,1,0,0", "1,1,1,0", "1,1,1,1")
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,8 @@ class SweepSpec:
         ):
             if steps < 2:
                 raise ValueError(f"{name}: steps must be >= 2")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name}: bounds must be finite")
             if lo < 0 or hi <= lo:
                 raise ValueError(f"{name}: need 0 <= min < max")
 
@@ -57,25 +66,30 @@ class SweepSpec:
 def sweep_rows(spec: SweepSpec):
     """Yield CSV rows of the sweep in row-major (lambda outer) order.
 
-    Each cell is the ``analyze_state`` report of the symmetric state
-    (lam, c, c); an unphysical cell is a row of zeros.
+    Each cell gets the verdicts that ``analyze_state`` gives the symmetric
+    state (lam, c, c); an unphysical cell is a row of zeros.  The grid is
+    evaluated in stacks of at most ``SWEEP_CHUNK`` cells through the same
+    kernels as ``analyze_state``, so the rows are the same bytes as a
+    cell-by-cell loop while memory stays bounded on any grid.
     """
     l_lo, l_hi, l_steps = spec.lambda_range
     c_lo, c_hi, c_steps = spec.c_range
     lambdas = np.linspace(l_lo, l_hi, int(l_steps))
     cs = np.linspace(c_lo, c_hi, int(c_steps))
-    for lam in lambdas:
-        for c in cs:
-            params = SymmetricStateParams(float(lam), float(c), float(c))
-            try:
-                rep = security.analyze_state(make_symmetric_state(params))
-                flags = (True, not rep.ppt, rep.individual_secure, rep.collective_secure)
-            except Unphysical:
-                flags = (False, False, False, False)
-            yield f"{lam:.12g},{c:.12g}," + ",".join(str(int(f)) for f in flags)
+    lam_text = [f"{lam:.12g}," for lam in lambdas]
+    c_text = [f"{c:.12g}," for c in cs]
+    n_cells = len(lambdas) * len(cs)
+    for start in range(0, n_cells, SWEEP_CHUNK):
+        li, ci = np.divmod(np.arange(start, min(start + SWEEP_CHUNK, n_cells)), len(cs))
+        cov, _, ok = _symmetric_stack(lambdas[li], cs[ci], cs[ci])
+        flags = np.zeros((len(li), 4), dtype=bool)
+        flags[ok] = security._report_stack(cov[ok], BipartiteSplit(1, 1))
+        for i, j, count in zip(li.tolist(), ci.tolist(), flags.sum(axis=1).tolist()):
+            yield lam_text[i] + c_text[j] + _SWEEP_FLAGS[count]
 
 
 def render_sweep(spec: SweepSpec) -> str:
+    """The sweep CSV: the header and every row of ``sweep_rows``, in chunked stacks."""
     return SWEEP_COLUMNS + "\n" + "\n".join(sweep_rows(spec)) + "\n"
 
 
@@ -311,8 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (StateSchemaError, FileNotFoundError, ValueError) as exc:

@@ -20,6 +20,8 @@ from .states import (
     BipartiteSplit,
     GaussianState,
     SymmetricStateParams,
+    _nppt_stack,
+    _physical_stack,
     _require_physical,
     _resolve_x_coords,
     is_nppt,
@@ -159,23 +161,59 @@ def gaussian_fidelity_equal_cov(
 # ---------------------------------------------------------------------------
 
 
-def _exponents(state: GaussianState, coords):
-    """(k_B, k_F) from the measured blocks of gamma and sigma gamma^{-1} sigma^T.
+def _exponent_stack(covs: np.ndarray, coords):
+    """(k_B, k_F, ok) for a stack (N, 2n, 2n) of physical covariance matrices.
 
-    The caller has checked that the state is physical and resolved
-    ``coords``; every exponent and verdict below reads from this pair.
+    k_B and k_F come from the measured blocks of gamma and
+    sigma gamma^{-1} sigma^T.  ``ok`` is False where the measured X block is
+    not positive definite; the exponents are given for the other matrices,
+    in order.  Only those are inverted, since one singular matrix would
+    make ``np.linalg.inv`` fail for the whole stack.  The caller has
+    resolved ``coords``.
     """
     ix = np.asarray(coords)
-    gx = state.cov[np.ix_(ix, ix)]
-    a, b, c = gx[0, 0], gx[0, 1], gx[1, 1]
-    det = a * c - b * b
-    if det <= 0:
-        raise Unphysical("measured-X covariance block is not positive definite")
-    sigma = symplectic_form(state.n_modes)
-    Gx = (sigma @ np.linalg.inv(state.cov) @ sigma.T)[np.ix_(ix, ix)]
+    gx = covs[:, ix[:, None], ix]
+    det = gx[:, 0, 0] * gx[:, 1, 1] - gx[:, 0, 1] * gx[:, 0, 1]
+    ok = det > 0
+    if not ok.all():
+        covs, gx, det = covs[ok], gx[ok], det[ok]
+    sigma = symplectic_form(covs.shape[-1] // 2)
+    Gx = (sigma @ np.linalg.inv(covs) @ sigma.T)[:, ix[:, None], ix]
     u = np.ones(2)
     k_f = u @ (np.linalg.inv(Gx) - np.linalg.inv(gx)) @ u
-    return float(4.0 * b / det), float(k_f)
+    return 4.0 * gx[:, 0, 1] / det, k_f, ok
+
+
+def _exponents(state: GaussianState, coords):
+    """(k_B, k_F) of one state: a stack of one through ``_exponent_stack``.
+
+    Every exponent and verdict below reads from this pair.
+    """
+    k_b, k_f, ok = _exponent_stack(state.cov[None], coords)
+    if not ok[0]:
+        raise Unphysical("measured-X covariance block is not positive definite")
+    return float(k_b[0]), float(k_f[0])
+
+
+def _individual_gap(k_b, k_f):
+    """Error odds fall strictly faster than Eve's fidelity (elementwise)."""
+    return k_b - k_f > EXPONENT_MARGIN
+
+
+def _collective_gap(k_b, k_f):
+    """Error odds fall strictly faster than the squared fidelity (elementwise)."""
+    return k_b - 2.0 * k_f > EXPONENT_MARGIN
+
+
+def _verdicts(nppt, k_b, k_f):
+    """(individual, collective) report verdicts, elementwise.
+
+    Conjoined so that individual implies NPPT and collective implies
+    individual even under boundary noise.
+    """
+    individual = _individual_gap(k_b, k_f) & nppt
+    collective = _collective_gap(k_b, k_f) & individual
+    return individual, collective
 
 
 def _checked_exponents(state: GaussianState, measured_x_coords=None, split=None):
@@ -226,15 +264,13 @@ def eve_fidelity(state: GaussianState, x0: float, measured_x_coords=None) -> flo
 def individual_condition(state: GaussianState, measured_x_coords=None) -> bool:
     """Key distillable against individual attacks: error odds fall strictly
     faster than Eve's fidelity, compared at the exponent level."""
-    k_b, k_f = _checked_exponents(state, measured_x_coords)
-    return bool(k_b - k_f > EXPONENT_MARGIN)
+    return bool(_individual_gap(*_checked_exponents(state, measured_x_coords)))
 
 
 def collective_condition(state: GaussianState, measured_x_coords=None) -> bool:
     """Key distillable against collective attacks: error odds fall strictly
     faster than the squared fidelity."""
-    k_b, k_f = _checked_exponents(state, measured_x_coords)
-    return bool(k_b - 2.0 * k_f > EXPONENT_MARGIN)
+    return bool(_collective_gap(*_checked_exponents(state, measured_x_coords)))
 
 
 def general_key_condition(
@@ -249,8 +285,7 @@ def general_key_condition(
     side of ``split``.  On the protocol's working family this verdict
     coincides with the NPPT verdict.
     """
-    k_b, k_f = _checked_exponents(state, measured_x_coords, split)
-    return bool(k_b - k_f > EXPONENT_MARGIN)
+    return bool(_individual_gap(*_checked_exponents(state, measured_x_coords, split)))
 
 
 class AdExponents(NamedTuple):
@@ -373,8 +408,7 @@ def analyze_state(
     # is_nppt holds the one physicality check of this call
     nppt = is_nppt(state, split)
     k_b, k_f = _exponents(state, _resolve_x_coords(state, split, measured_x_coords))
-    individual = k_b - k_f > EXPONENT_MARGIN and nppt
-    collective = k_b - 2.0 * k_f > EXPONENT_MARGIN and individual
+    individual, collective = _verdicts(nppt, k_b, k_f)
     return SecurityReport(
         eps_ratio_exponent=-k_b,
         fidelity_exponent=-k_f,
@@ -384,6 +418,25 @@ def analyze_state(
         key_rate_estimate=_key_rate(k_b, k_f, n_rounds, 1.0),
         n_rounds=n_rounds,
     )
+
+
+def _report_stack(covs: np.ndarray, split: BipartiteSplit) -> np.ndarray:
+    """The verdicts of ``analyze_state`` for each matrix of a stack (N, 2n, 2n).
+
+    Returns an (N, 4) boolean array with columns physical, nppt, individual
+    and collective.  A matrix on which ``analyze_state`` raises Unphysical
+    is a row of False.
+    """
+    coords = _resolve_x_coords(GaussianState(np.eye(covs.shape[-1])), split)
+    flags = np.zeros((len(covs), 4), dtype=bool)
+    rows = np.flatnonzero(_physical_stack(covs))
+    nppt = _nppt_stack(covs[rows], split)
+    k_b, k_f, ok = _exponent_stack(covs[rows], coords)
+    rows, nppt = rows[ok], nppt[ok]
+    flags[rows, 0] = True
+    flags[rows, 1] = nppt
+    flags[rows, 2], flags[rows, 3] = _verdicts(nppt, k_b, k_f)
+    return flags
 
 
 def symmetric_collective_boundary(lam: float) -> float:

@@ -16,6 +16,10 @@ from .exceptions import NotPositiveDefinite, StateSchemaError, Unphysical
 from .symplectic import (
     TAU_LIN,
     TAU_PSD,
+    _below_vacuum,
+    _check_spd,
+    _spd_eigh,
+    _spectra,
     symplectic_eigenvalues,
     symplectic_form,
 )
@@ -96,7 +100,39 @@ class SymmetricStateParams:
 
     def physicality_margin(self) -> float:
         """lam^2 - c_x*c_p - 1 - lam*(c_x - c_p); physical iff >= 0."""
-        return self.lam ** 2 - self.c_x * self.c_p - 1.0 - self.lam * (self.c_x - self.c_p)
+        return _symmetric_margin(self.lam, self.c_x, self.c_p)
+
+
+def _symmetric_margin(lam, c_x, c_p):
+    """The symmetric family's positivity margin, for floats or 1-D arrays.
+
+    lam^2 is Python's float power element by element: numpy's square rounds
+    differently from it in the last bit on about one input in a thousand,
+    and the margin is compared against a band of width TAU_PSD.
+    """
+    lam_sq = np.array([v ** 2 for v in lam.tolist()]) if np.ndim(lam) else lam ** 2
+    return lam_sq - c_x * c_p - 1.0 - lam * (c_x - c_p)
+
+
+def _symmetric_stack(lam, c_x, c_p):
+    """Covariance matrices of the symmetric family, elementwise.
+
+    Parameters are floats (one 4 x 4 matrix) or equal-length 1-D arrays (a
+    stack of shape (N, 4, 4)).
+
+    Returns
+    -------
+    tuple
+        ``(cov, margin, ok)``: the matrices, the positivity margins, and
+        False where a margin falls below -TAU_PSD, which makes the
+        parameters unphysical.
+    """
+    margin = _symmetric_margin(lam, c_x, c_p)
+    cov = np.zeros(np.shape(lam) + (4, 4))
+    cov[..., 0, 0] = cov[..., 1, 1] = cov[..., 2, 2] = cov[..., 3, 3] = lam
+    cov[..., 0, 2] = cov[..., 2, 0] = c_x
+    cov[..., 1, 3] = cov[..., 3, 1] = -c_p
+    return cov, margin, np.logical_not(margin < -TAU_PSD)
 
 
 class _Undecided:
@@ -148,16 +184,11 @@ def make_symmetric_state(params: SymmetricStateParams) -> GaussianState:
     Unphysical
         If the family's positivity condition fails.
     """
-    if params.physicality_margin() < -TAU_PSD:
+    cov, margin, ok = _symmetric_stack(params.lam, params.c_x, params.c_p)
+    if not ok:
         raise Unphysical(
-            f"symmetric parameters {params} violate positivity by "
-            f"{-params.physicality_margin():.3e}"
+            f"symmetric parameters {params} violate positivity by {-margin:.3e}"
         )
-    lam, c_x, c_p = params.lam, params.c_x, params.c_p
-    cov = np.zeros((4, 4))
-    cov[0, 0] = cov[1, 1] = cov[2, 2] = cov[3, 3] = lam
-    cov[0, 2] = cov[2, 0] = c_x
-    cov[1, 3] = cov[3, 1] = -c_p
     return GaussianState(cov)
 
 
@@ -169,9 +200,16 @@ def symmetric_state(lam: float, c_x: float, c_p: float) -> GaussianState:
 def is_physical(state: GaussianState) -> bool:
     """True iff every symplectic eigenvalue is >= 1 - TAU_PSD."""
     try:
-        return bool(symplectic_eigenvalues(state.cov).min() >= 1.0 - TAU_PSD)
+        return not _below_vacuum(symplectic_eigenvalues(state.cov))
     except NotPositiveDefinite:
         return False
+
+
+def _physical_stack(covs: np.ndarray) -> np.ndarray:
+    """``is_physical`` for each covariance matrix of a stack (N, 2n, 2n)."""
+    physical = _spd_eigh(covs)[2]
+    physical[physical] = ~_below_vacuum(_spectra(covs[physical]))
+    return physical
 
 
 def _require_physical(state: GaussianState):
@@ -223,11 +261,16 @@ def partial_transpose(state: GaussianState, split: BipartiteSplit) -> GaussianSt
     of the NPPT test.
     """
     _check_split(state, split)
-    flip = np.ones(2 * state.n_modes)
-    for mode in range(split.n_a, state.n_modes):
-        flip[2 * mode + 1] = -1.0
+    flip = _bob_momentum_flip(split)
     cov = state.cov * np.outer(flip, flip)
     return GaussianState(cov, state.disp * flip)
+
+
+def _bob_momentum_flip(split: BipartiteSplit) -> np.ndarray:
+    """Signs (1, 1, ..., 1, -1, ...) that flip every momentum on Bob's side."""
+    flip = np.ones(2 * split.n_modes)
+    flip[2 * split.n_a + 1::2] = -1.0
+    return flip
 
 
 def is_nppt(state: GaussianState, split: BipartiteSplit) -> bool:
@@ -239,7 +282,21 @@ def is_nppt(state: GaussianState, split: BipartiteSplit) -> bool:
     """
     _require_physical(state)
     transposed = partial_transpose(state, split)
-    return bool(symplectic_eigenvalues(transposed.cov).min() < 1.0 - TAU_PSD)
+    return bool(_below_vacuum(symplectic_eigenvalues(transposed.cov)))
+
+
+def _nppt_stack(covs: np.ndarray, split: BipartiteSplit) -> np.ndarray:
+    """``is_nppt`` for each physical covariance matrix of a stack (N, 2n, 2n).
+
+    Raises NotPositiveDefinite, as ``is_nppt`` does, if a partial transpose
+    fails the positive-definiteness check.
+    """
+    flip = _bob_momentum_flip(split)
+    transposed = covs * np.outer(flip, flip)
+    ok = _spd_eigh(transposed)[2]
+    if not ok.all():
+        _check_spd(transposed[np.argmin(ok)])
+    return _below_vacuum(_spectra(transposed))
 
 
 def ppt_criterion_min_eig(state: GaussianState, split: BipartiteSplit) -> float:
@@ -251,11 +308,8 @@ def ppt_criterion_min_eig(state: GaussianState, split: BipartiteSplit) -> float:
     """
     _require_physical(state)
     _check_split(state, split)
-    n = state.n_modes
-    flip = np.ones(2 * n)
-    for mode in range(split.n_a, n):
-        flip[2 * mode + 1] = -1.0
-    sigma_t = symplectic_form(n) * np.outer(flip, flip)
+    flip = _bob_momentum_flip(split)
+    sigma_t = symplectic_form(state.n_modes) * np.outer(flip, flip)
     witness = state.cov - sigma_t @ np.linalg.inv(state.cov) @ sigma_t.T
     return float(np.linalg.eigvalsh(0.5 * (witness + witness.T)).min())
 

@@ -6,6 +6,7 @@ n blocks [[0, 1], [-1, 0]] in that ordering, and every routine here sticks
 to that single convention.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,20 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     ndarray
         Antisymmetric matrix, the direct sum of n blocks [[0, 1], [-1, 0]].
     """
+    return _symplectic_form(n_modes).copy()
+
+
+@functools.cache
+def _symplectic_form(n_modes: int) -> np.ndarray:
+    # built once per mode count: every spectrum and exponent evaluation
+    # needs it, and building it costs more than the copy handed out
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     sigma = np.zeros((2 * n_modes, 2 * n_modes))
     for i in range(n_modes):
         sigma[2 * i, 2 * i + 1] = 1.0
         sigma[2 * i + 1, 2 * i] = -1.0
+    sigma.setflags(write=False)
     return sigma
 
 
@@ -60,6 +69,23 @@ def is_symplectic(S: np.ndarray, tol: float = TAU_LIN) -> bool:
     return bool(np.max(np.abs(S @ sigma @ S.T - sigma)) <= tol)
 
 
+def _spd_eigh(C: np.ndarray, tol: float = TAU_PSD):
+    """eigh of each symmetrized matrix of a stack, and which clear the margin.
+
+    ``C`` has shape (..., 2n, 2n); a single matrix is a stack of one.  LAPACK
+    runs the same routine on every matrix of a stack as on a lone matrix, so
+    a stacked result equals the one-matrix result bit for bit.
+
+    Returns
+    -------
+    tuple
+        ``(w, V, ok)``: ascending eigenvalues, eigenvectors, and a boolean
+        array, False where the smallest eigenvalue is below ``tol``.
+    """
+    w, V = np.linalg.eigh(0.5 * (C + C.swapaxes(-1, -2)))
+    return w, V, ~(w.min(axis=-1) < tol)
+
+
 def _check_spd(C: np.ndarray, tol: float = TAU_PSD) -> np.ndarray:
     """Validate symmetry and positive definiteness; return eigh pair."""
     C = np.asarray(C, dtype=float)
@@ -67,12 +93,28 @@ def _check_spd(C: np.ndarray, tol: float = TAU_PSD) -> np.ndarray:
         raise ValueError(f"expected a square 2n x 2n matrix, got shape {C.shape}")
     if np.max(np.abs(C - C.T)) > TAU_LIN:
         raise ValueError("matrix is not symmetric within tolerance")
-    w, V = np.linalg.eigh(0.5 * (C + C.T))
-    if w.min() < tol:
+    w, V, ok = _spd_eigh(C, tol)
+    if not ok:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {w.min():.3e} below margin {tol:.1e}"
         )
     return w, V
+
+
+def _spectra(C: np.ndarray) -> np.ndarray:
+    """Symplectic spectra of a stack (..., 2n, 2n) that passed ``_spd_eigh``.
+
+    Moduli of the eigenvalues of ``i sigma C``, one per +/- pair, in
+    non-increasing order along the last axis.
+    """
+    w = np.linalg.eigvals(1j * symplectic_form(C.shape[-1] // 2) @ C)
+    return np.sort(np.abs(w.real), axis=-1)[..., ::-1][..., ::2]
+
+
+def _below_vacuum(spectra: np.ndarray):
+    """Whether the smallest symplectic eigenvalue of each spectrum of a stack
+    falls below the vacuum level 1 by more than TAU_PSD."""
+    return spectra.min(axis=-1) < 1.0 - TAU_PSD
 
 
 def symplectic_eigenvalues(C: np.ndarray) -> np.ndarray:
@@ -97,10 +139,7 @@ def symplectic_eigenvalues(C: np.ndarray) -> np.ndarray:
         If the smallest eigenvalue of C is below the margin.
     """
     _check_spd(C)
-    n = C.shape[0] // 2
-    w = np.linalg.eigvals(1j * symplectic_form(n) @ C)
-    vals = np.sort(np.abs(w.real))[::-1]
-    return vals[::2].copy()
+    return _spectra(C).copy()
 
 
 @dataclass(frozen=True, eq=False)

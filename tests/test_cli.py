@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +17,7 @@ from cvprivacy import (
     tensor,
     vacuum_state,
 )
+from cvprivacy import cli
 from cvprivacy.cli import main
 
 
@@ -210,3 +214,40 @@ def test_oracle_suite_passes(capsys):
     assert doc["all_pass"] is True
     for check in doc["checks"]:
         assert check["pass"], check
+
+
+def test_parser_is_built_once_and_behaves_like_fresh_processes(tmp_path, capsys, monkeypatch):
+    path = write_state(tmp_path, "s.json", symmetric_state(2.0, 1.2, 1.2))
+    commands = [
+        ["sweep", "--x0", "1"],  # usage error: argparse exits with code 2
+        ["sweep", "--grid", "1:4:5,0:3.9:5"],
+        ["analyze", "--state", path],
+        ["simulate", "--state", path, "--samples", "20000", "--seed", "3", "--delta", "0.05"],
+    ]
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    cli._parser.cache_clear()
+    in_process = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert [r[0] for r in in_process] == [2, 0, 0, 0]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cvprivacy.__file__).resolve().parents[1]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "cvprivacy.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in commands
+    ]
+    for proc, expected in zip(procs, in_process):
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == expected
