@@ -56,12 +56,33 @@ def quadrature_operators(n_modes: int, cutoff: int):
     return ops
 
 
-def _keep_indices(n_modes: int, cutoff: int, padded: int) -> np.ndarray:
-    if n_modes == 1:
-        return np.arange(cutoff)
-    return np.array(
-        [i * padded + j for i in range(cutoff) for j in range(cutoff)]
-    )
+def _hamiltonian(G: np.ndarray, disp: np.ndarray, cutoff: int) -> np.ndarray:
+    """Kept block of (1/2) (R - d)^T G (R - d) on ``cutoff`` levels per mode.
+
+    Each term is a Kronecker product of single-mode factors, the first mode
+    leftmost, with the identity on every mode the term does not act on.
+    """
+    n = len(disp) // 2
+    # q[k] = R_k - d_k on the padded levels of mode k // 2
+    x, p = quadrature_operators(1, cutoff + 2)
+    q = [(x, p)[k % 2] - disp[k] * np.eye(cutoff + 2) for k in range(2 * n)]
+    eye = np.eye(cutoff)
+    H = np.zeros((cutoff ** n, cutoff ** n), dtype=complex)
+    for k in range(2 * n):
+        for l in range(2 * n):
+            if G[k, l] == 0.0:
+                continue
+            factors = [eye] * n
+            if k // 2 == l // 2:
+                factors[k // 2] = (q[k] @ q[l])[:cutoff, :cutoff]
+            else:
+                factors[k // 2] = q[k][:cutoff, :cutoff]
+                factors[l // 2] = q[l][:cutoff, :cutoff]
+            term = factors[0]
+            for f in factors[1:]:
+                term = np.kron(term, f)
+            H += 0.5 * G[k, l] * term
+    return H
 
 
 def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
@@ -69,8 +90,10 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
 
     The state is realized as exp(-(1/2) (R - d)^T G (R - d)) / Z, with G
     assembled from the Williamson decomposition of the covariance matrix.
-    The quadratic form is built two levels above the cutoff and then
-    sliced, so its matrix elements are exact on the kept block.
+    Padding is per mode: a same-mode product is built two levels above the
+    cutoff and then sliced, so its matrix elements are exact on the kept
+    block, and a product across two modes is the Kronecker product of the
+    sliced single-mode factors.
 
     Raises
     ------
@@ -92,17 +115,7 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     beta = np.log((nu + 1.0) / (nu - 1.0))
     G = decomp.S.T @ np.diag(np.repeat(beta, 2)) @ decomp.S
 
-    padded = cutoff + 2
-    R = quadrature_operators(n, padded)
-    dim = padded ** n
-    shifted = [R[k] - state.disp[k] * np.eye(dim) for k in range(2 * n)]
-    H = np.zeros((dim, dim), dtype=complex)
-    for k in range(2 * n):
-        for l in range(2 * n):
-            if G[k, l] != 0.0:
-                H += 0.5 * G[k, l] * (shifted[k] @ shifted[l])
-    keep = _keep_indices(n, cutoff, padded)
-    H = H[np.ix_(keep, keep)]
+    H = _hamiltonian(G, state.disp, cutoff)
     H = 0.5 * (H + H.conj().T)
 
     ground_energy = 0.5 * float(beta.sum())
@@ -128,14 +141,18 @@ def fock_moments(fock: FockState):
     """
     R = quadrature_operators(fock.n_modes, fock.cutoff)
     k2 = 2 * fock.n_modes
-    d = np.array([float(np.trace(fock.rho @ R[k]).real) for k in range(k2)])
-    gamma = np.empty((k2, k2))
-    dim = fock.rho.shape[0]
+    rho = fock.rho
+    # tr(rho O) = sum_ij rho_ij O_ji
+    d = np.array([float(np.sum(rho * R[k].T).real) for k in range(k2)])
+    dim = rho.shape[0]
     centered = [R[k] - d[k] * np.eye(dim) for k in range(k2)]
+    rho_centered = [rho @ c for c in centered]
+    gamma = np.empty((k2, k2))
     for k in range(k2):
         for l in range(k, k2):
-            anti = centered[k] @ centered[l] + centered[l] @ centered[k]
-            gamma[k, l] = gamma[l, k] = float(np.trace(fock.rho @ anti).real)
+            # tr(rho {A_k, A_l}) = 2 Re tr(rho A_k A_l) for Hermitian rho, A_k, A_l
+            second = np.sum(rho_centered[k] * centered[l].T)
+            gamma[k, l] = gamma[l, k] = 2.0 * float(second.real)
     return d, gamma
 
 

@@ -14,7 +14,9 @@ from cvprivacy import (
     two_mode_squeezed,
     uhlmann_fidelity,
     vacuum_state,
+    williamson,
 )
+from cvprivacy.fock import _NU_FLOOR, _hamiltonian, quadrature_operators
 
 RNG = np.random.default_rng(606)
 
@@ -25,6 +27,55 @@ def random_mild_cov(rng):
     phi = rng.random() * np.pi
     R = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
     return R @ np.diag([nu * s * s, nu / (s * s)]) @ R.T
+
+
+def passive_symplectic(rng, n):
+    """Orthogonal symplectic matrix from a random unitary (interleaved order)."""
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    o = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    order = np.empty(2 * n, dtype=int)
+    order[0::2] = np.arange(n)
+    order[1::2] = np.arange(n) + n
+    return o[np.ix_(order, order)]
+
+
+def bloch_messiah_cov(rng, n, r_max, nu_lo, nu_hi):
+    """Covariance O1 Z O2 D O2^T Z O1^T with squeezers r in [0, r_max)."""
+    o1, o2 = passive_symplectic(rng, n), passive_symplectic(rng, n)
+    r = rng.random(n) * r_max
+    z = np.diag(np.exp(np.repeat(r, 2) * np.tile([-1.0, 1.0], n)))
+    s = o1 @ z @ o2
+    nu = nu_lo + rng.random(n) * (nu_hi - nu_lo)
+    cov = s @ np.diag(np.repeat(nu, 2)) @ s.T
+    return 0.5 * (cov + cov.T)
+
+
+def generator_matrix(state):
+    """G of exp(-(1/2) (R - d)^T G (R - d)), as gaussian_to_fock builds it."""
+    decomp = williamson(state.cov)
+    nu = np.maximum(decomp.spectrum, 1.0 + _NU_FLOOR)
+    beta = np.log((nu + 1.0) / (nu - 1.0))
+    return decomp.S.T @ np.diag(np.repeat(beta, 2)) @ decomp.S
+
+
+def dense_padded_hamiltonian(G, disp, cutoff):
+    """Oracle: every operator dense on cutoff + 2 levels per mode, every
+    product taken at full size, and the kept block sliced out at the end."""
+    n = len(disp) // 2
+    padded = cutoff + 2
+    R = quadrature_operators(n, padded)
+    dim = padded ** n
+    shifted = [R[k] - disp[k] * np.eye(dim) for k in range(2 * n)]
+    H = np.zeros((dim, dim), dtype=complex)
+    for k in range(2 * n):
+        for l in range(2 * n):
+            if G[k, l] != 0.0:
+                H += 0.5 * G[k, l] * (shifted[k] @ shifted[l])
+    levels = np.indices((cutoff,) * n).reshape(n, -1)
+    keep = np.ravel_multi_index(levels, (padded,) * n)
+    return H[np.ix_(keep, keep)]
 
 
 def qubit_measurement_grid(dim, n_theta=40, n_phi=20):
@@ -192,3 +243,55 @@ def test_cutoff_convergence():
         minus = gaussian_to_fock(GaussianState(cov, -d), cutoff)
         values.append(uhlmann_fidelity(plus, minus))
     assert abs(values[1] - values[0]) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "state, cutoff",
+    [
+        (GaussianState(np.diag([1.6, 1.0 / 1.6]), [0.4, -0.3]), 12),
+        (GaussianState(random_mild_cov(np.random.default_rng(5)), [-0.7, 0.5]), 20),
+        (GaussianState(random_mild_cov(np.random.default_rng(6)), [0.2, 0.9]), 40),
+        (two_mode_squeezed(0.3), 12),
+        (
+            GaussianState(
+                bloch_messiah_cov(np.random.default_rng(7), 2, 0.3, 1.05, 1.6),
+                [0.3, -0.2, 0.5, 0.1],
+            ),
+            20,
+        ),
+    ],
+)
+def test_hamiltonian_matches_dense_padded_oracle(state, cutoff):
+    G = generator_matrix(state)
+    got = _hamiltonian(G, state.disp, cutoff)
+    expected = dense_padded_hamiltonian(G, state.disp, cutoff)
+    assert got.shape == expected.shape == (cutoff ** state.n_modes,) * 2
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_product_state_is_kronecker_product_in_mode_order():
+    cov_a = np.array([[1.8, 0.3], [0.3, 0.9]])
+    cov_b = np.diag([1.2, 1.4])
+    d_a, d_b = np.array([0.4, -0.2]), np.array([-0.1, 0.3])
+    cov = np.zeros((4, 4))
+    cov[:2, :2], cov[2:, 2:] = cov_a, cov_b
+    cutoff = 20
+    joint = gaussian_to_fock(GaussianState(cov, np.concatenate([d_a, d_b])), cutoff)
+    rho_a = gaussian_to_fock(GaussianState(cov_a, d_a), cutoff).rho
+    rho_b = gaussian_to_fock(GaussianState(cov_b, d_b), cutoff).rho
+    np.testing.assert_allclose(joint.rho, np.kron(rho_a, rho_b), rtol=0, atol=1e-12)
+    # the two orders differ, so the comparison above pins which mode is left
+    assert np.max(np.abs(np.kron(rho_b, rho_a) - np.kron(rho_a, rho_b))) > 1e-3
+
+
+def test_fidelity_certification_two_modes():
+    rng = np.random.default_rng(2005)
+    for _ in range(2):
+        cov = bloch_messiah_cov(rng, 2, 0.12, 1.05, 1.35)
+        d = rng.normal(size=4)
+        d *= 0.5 * rng.uniform(0.3, 1.0) / np.linalg.norm(d)
+        plus = gaussian_to_fock(GaussianState(cov, d), 20)
+        minus = gaussian_to_fock(GaussianState(cov, -d), 20)
+        closed = np.exp(-d @ np.linalg.solve(cov, d))
+        assert abs(uhlmann_fidelity(plus, minus) - closed) < 1e-3
+        assert max(plus.tail_mass, minus.tail_mass) < 1e-8
