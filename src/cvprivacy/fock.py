@@ -7,6 +7,7 @@ X = (a + a^dag)/sqrt(2), P = i(a^dag - a)/sqrt(2), so the vacuum
 covariance is the identity and <X^2>_vac = 1/2.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,23 @@ class FockState:
 
     ``tail_mass`` estimates the probability weight lost to truncation,
     from the exact partition function of the generating quadratic form.
+    ``eigen`` is the pair (w, V) of weights and a unitary with
+    rho = V diag(w) V^dag.  ``gaussian_to_fock`` fills it from the
+    eigendecomposition of the Hamiltonian it already computes; a state
+    built from ``rho`` alone gets it from one Hermitian eigendecomposition.
     """
 
     rho: np.ndarray
     n_modes: int
     cutoff: int
     tail_mass: float
+    eigen: tuple = None
+
+    def __post_init__(self):
+        if self.eigen is None:
+            if not np.isfinite(self.rho).all():
+                raise ValueError("density matrix has a non-finite entry")
+            object.__setattr__(self, "eigen", np.linalg.eigh(self.rho))
 
 
 def quadrature_operators(n_modes: int, cutoff: int):
@@ -59,29 +71,33 @@ def quadrature_operators(n_modes: int, cutoff: int):
 def _hamiltonian(G: np.ndarray, disp: np.ndarray, cutoff: int) -> np.ndarray:
     """Kept block of (1/2) (R - d)^T G (R - d) on ``cutoff`` levels per mode.
 
-    Each term is a Kronecker product of single-mode factors, the first mode
-    leftmost, with the identity on every mode the term does not act on.
+    The four terms within a mode are summed into one single-mode factor,
+    and the terms (k, l) and (l, k) across two modes into one Kronecker
+    product; the first mode is leftmost, with the identity on every mode a
+    factor does not act on.
     """
     n = len(disp) // 2
     # q[k] = R_k - d_k on the padded levels of mode k // 2
     x, p = quadrature_operators(1, cutoff + 2)
     q = [(x, p)[k % 2] - disp[k] * np.eye(cutoff + 2) for k in range(2 * n)]
     eye = np.eye(cutoff)
-    H = np.zeros((cutoff ** n, cutoff ** n), dtype=complex)
-    for k in range(2 * n):
-        for l in range(2 * n):
-            if G[k, l] == 0.0:
-                continue
-            factors = [eye] * n
-            if k // 2 == l // 2:
-                factors[k // 2] = (q[k] @ q[l])[:cutoff, :cutoff]
-            else:
-                factors[k // 2] = q[k][:cutoff, :cutoff]
-                factors[l // 2] = q[l][:cutoff, :cutoff]
-            term = factors[0]
-            for f in factors[1:]:
-                term = np.kron(term, f)
-            H += 0.5 * G[k, l] * term
+    local = []
+    for mode in range(n):
+        block = np.zeros((cutoff, cutoff), dtype=complex)
+        for k in (2 * mode, 2 * mode + 1):
+            for l in (2 * mode, 2 * mode + 1):
+                if G[k, l] != 0.0:
+                    block += 0.5 * G[k, l] * (q[k] @ q[l])[:cutoff, :cutoff]
+        local.append(block)
+    if n == 1:
+        return local[0]
+    H = np.kron(local[0], eye)
+    H += np.kron(eye, local[1])
+    for k in (0, 1):
+        for l in (2, 3):
+            g = 0.5 * (G[k, l] + G[l, k])
+            if g != 0.0:
+                H += np.kron(g * q[k][:cutoff, :cutoff], q[l][:cutoff, :cutoff])
     return H
 
 
@@ -93,10 +109,14 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     Padding is per mode: a same-mode product is built two levels above the
     cutoff and then sliced, so its matrix elements are exact on the kept
     block, and a product across two modes is the Kronecker product of the
-    sliced single-mode factors.
+    sliced single-mode factors.  The eigendecomposition of the kept block
+    gives both rho and the ``eigen`` pair the fidelity uses.
 
     Raises
     ------
+    ValueError
+        If the state has more than two modes or the cutoff is not a
+        positive integer.
     Unphysical
         If the covariance matrix is not physical.
     TailTooHeavy
@@ -108,6 +128,8 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
         raise Unphysical("state violates the uncertainty bound")
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF[state.n_modes]
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral) or cutoff < 1:
+        raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
     n = state.n_modes
 
     decomp = williamson(state.cov)
@@ -116,21 +138,26 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     G = decomp.S.T @ np.diag(np.repeat(beta, 2)) @ decomp.S
 
     H = _hamiltonian(G, state.disp, cutoff)
-    H = 0.5 * (H + H.conj().T)
+    H += H.conj().T
+    H *= 0.5
 
     ground_energy = 0.5 * float(beta.sum())
-    w, V = np.linalg.eigh(H)
-    rho_un = (V * np.exp(-(w - ground_energy))) @ V.conj().T
+    energies, V = np.linalg.eigh(H)
+    del H
+    weights = np.exp(-(energies - ground_energy))
+    rho = (V * weights) @ V.conj().T
     z_exact = float(np.prod(1.0 / (1.0 - np.exp(-beta))))
-    trace = float(np.trace(rho_un).real)
+    trace = float(np.trace(rho).real)
     tail = max(0.0, 1.0 - trace / z_exact)
     if tail >= TAU_TAIL:
         raise TailTooHeavy(
             f"tail mass {tail:.3e} at cutoff {cutoff}; increase the cutoff"
         )
-    rho = rho_un / trace
-    rho = 0.5 * (rho + rho.conj().T)
-    return FockState(rho=rho, n_modes=n, cutoff=cutoff, tail_mass=tail)
+    rho /= trace
+    rho += rho.conj().T
+    rho *= 0.5
+    weights /= trace
+    return FockState(rho=rho, n_modes=n, cutoff=cutoff, tail_mass=tail, eigen=(weights, V))
 
 
 def fock_moments(fock: FockState):
@@ -156,23 +183,23 @@ def fock_moments(fock: FockState):
     return d, gamma
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(rho)
-    if w.min() < -1e-10:
-        raise NumericalFailure(f"negative eigenvalue {w.min():.3e} in density matrix")
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-
-
 def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
-    """tr sqrt(sqrt(r0) r1 sqrt(r0)), computed through Hermitian roots."""
+    """tr|sqrt(r0) sqrt(r1)|, from the stored eigendecompositions.
+
+    With rho_i = V_i diag(w_i) V_i^dag, the fidelity is the sum of the
+    singular values of diag(sqrt(w0)) V0^dag V1 diag(sqrt(w1)): one matrix
+    product and one SVD without vectors, and no square root of a matrix.
+    """
     if r0.cutoff != r1.cutoff or r0.n_modes != r1.n_modes:
         raise ValueError("states must share cutoff and mode count")
-    sq = _psd_sqrt(r0.rho)
-    inner = sq @ r1.rho @ sq
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    if w.min() < -1e-10:
-        raise NumericalFailure(f"negative eigenvalue {w.min():.3e} in fidelity kernel")
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+    (w0, V0), (w1, V1) = r0.eigen, r1.eigen
+    for w in (w0, w1):
+        if w.min() < -1e-10:
+            raise NumericalFailure(f"negative eigenvalue {w.min():.3e} in density matrix")
+    M = V0.conj().T @ V1
+    M *= np.sqrt(np.clip(w0, 0.0, None))[:, None]
+    M *= np.sqrt(np.clip(w1, 0.0, None))
+    return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
 def minimal_discrimination_overlap(r0: FockState, r1: FockState, measurement_grid) -> float:

@@ -8,6 +8,7 @@ outcomes is gamma / 2.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class GaussianState:
         cov = np.array(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 != 0:
             raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance matrix has a non-finite entry")
         if np.max(np.abs(cov - cov.T)) > TAU_LIN:
             raise ValueError("covariance matrix is not symmetric within tolerance")
         disp = self.disp
@@ -54,6 +57,8 @@ class GaussianState:
             raise ValueError(
                 f"displacement length {disp.shape[0]} does not match 2n = {cov.shape[0]}"
             )
+        if not np.isfinite(disp).all():
+            raise ValueError("displacement vector has a non-finite entry")
         cov.setflags(write=False)
         disp.setflags(write=False)
         object.__setattr__(self, "cov", cov)
@@ -439,18 +444,27 @@ def state_from_json(text: str) -> GaussianState:
         if not isinstance(row, list) or len(row) != 2 * n:
             raise StateSchemaError(f"cov[{i}]: expected {2 * n} numbers, got {_length(row)}")
         for j, entry in enumerate(row):
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise StateSchemaError(f"cov[{i}][{j}]: expected a number, got {entry!r}")
+            if not _is_finite_number(entry):
+                raise StateSchemaError(f"cov[{i}][{j}]: expected a finite number, got {entry!r}")
     disp = doc["disp"]
     if not isinstance(disp, list) or len(disp) != 2 * n:
         raise StateSchemaError(f"disp: expected {2 * n} numbers, got {_length(disp)}")
     for j, entry in enumerate(disp):
-        if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-            raise StateSchemaError(f"disp[{j}]: expected a number, got {entry!r}")
+        if not _is_finite_number(entry):
+            raise StateSchemaError(f"disp[{j}]: expected a finite number, got {entry!r}")
     try:
         return GaussianState(np.array(cov, dtype=float), np.array(disp, dtype=float))
     except ValueError as exc:
         raise StateSchemaError(f"cov: {exc}") from exc
+
+
+def _is_finite_number(entry) -> bool:
+    if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+        return False
+    try:
+        return math.isfinite(entry)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _length(obj) -> str:

@@ -81,6 +81,19 @@ def test_analyze_unphysical_exit_code(tmp_path, capsys):
     assert "unphysical" in err.lower()
 
 
+def test_analyze_non_finite_state_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n_modes": 1, "cov": [[1, 0], [0, NaN]], "disp": [0, 0]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(cvprivacy.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvprivacy.cli", "analyze", "--state", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "cov[1][1]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_columns_and_nesting(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--grid", "1:4:40,0:3.9:40")
     assert code == 0

@@ -6,13 +6,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_protocol_monte_carlo_demo_runs():
+def run_demo(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "protocol_monte_carlo.py")],
+        [sys.executable, str(ROOT / "demos" / name)],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -20,4 +20,12 @@ def test_protocol_monte_carlo_demo_runs():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "fitted slope" in proc.stdout
+    return proc.stdout
+
+
+def test_protocol_monte_carlo_demo_runs():
+    assert "fitted slope" in run_demo("protocol_monte_carlo.py")
+
+
+def test_fock_certification_demo_runs():
+    assert "vacuum sanity" in run_demo("fock_certification.py")

@@ -150,7 +150,7 @@ def test_rejects_unphysical_state():
 
 def test_uhlmann_identical_states():
     fk = gaussian_to_fock(single_mode_thermal(1.7), 30)
-    assert uhlmann_fidelity(fk, fk) == pytest.approx(1.0, abs=1e-9)
+    assert uhlmann_fidelity(fk, fk) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uhlmann_orthogonal_fock_states():
@@ -175,7 +175,7 @@ def test_uhlmann_displaced_thermal_pair_matches_closed_form():
 def test_uhlmann_symmetric_in_arguments():
     a = gaussian_to_fock(GaussianState(random_mild_cov(RNG), [0.3, -0.2]), 35)
     b = gaussian_to_fock(GaussianState(random_mild_cov(RNG), [-0.1, 0.4]), 35)
-    assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) < 1e-8
+    assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) < 1e-12
 
 
 def test_uhlmann_rejects_corrupt_density_matrix():
@@ -184,6 +184,13 @@ def test_uhlmann_rejects_corrupt_density_matrix():
     good = gaussian_to_fock(vacuum_state(1), dim)
     with pytest.raises(NumericalFailure):
         uhlmann_fidelity(bad, good)
+
+
+def test_fock_state_rejects_non_finite_density_matrix():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        FockState(rho=rho, n_modes=1, cutoff=4, tail_mass=0.0)
 
 
 def test_coherent_overlap_matches_displacement_formula():
@@ -284,14 +291,60 @@ def test_product_state_is_kronecker_product_in_mode_order():
     assert np.max(np.abs(np.kron(rho_b, rho_a) - np.kron(rho_a, rho_b))) > 1e-3
 
 
-def test_fidelity_certification_two_modes():
+@pytest.fixture(scope="module")
+def two_mode_pairs():
+    """Two mild two-mode Bloch-Messiah displaced pairs at cutoff 20, with
+    their closed-form fidelity exp(-d^T gamma^-1 d)."""
     rng = np.random.default_rng(2005)
+    pairs = []
     for _ in range(2):
         cov = bloch_messiah_cov(rng, 2, 0.12, 1.05, 1.35)
         d = rng.normal(size=4)
         d *= 0.5 * rng.uniform(0.3, 1.0) / np.linalg.norm(d)
         plus = gaussian_to_fock(GaussianState(cov, d), 20)
         minus = gaussian_to_fock(GaussianState(cov, -d), 20)
-        closed = np.exp(-d @ np.linalg.solve(cov, d))
+        pairs.append((plus, minus, np.exp(-d @ np.linalg.solve(cov, d))))
+    return pairs
+
+
+def test_fidelity_certification_two_modes(two_mode_pairs):
+    for plus, minus, closed in two_mode_pairs:
         assert abs(uhlmann_fidelity(plus, minus) - closed) < 1e-3
         assert max(plus.tail_mass, minus.tail_mass) < 1e-8
+
+
+def test_uhlmann_two_modes_to_rounding(two_mode_pairs):
+    for plus, minus, closed in two_mode_pairs:
+        forward = uhlmann_fidelity(plus, minus)
+        assert abs(uhlmann_fidelity(plus, plus) - 1.0) <= 1e-12
+        assert abs(uhlmann_fidelity(minus, minus) - 1.0) <= 1e-12
+        assert abs(forward - uhlmann_fidelity(minus, plus)) <= 1e-12
+        assert abs(forward - closed) <= 1e-9
+
+
+def test_stored_eigendecomposition_rebuilds_rho(two_mode_pairs):
+    one_mode = gaussian_to_fock(GaussianState(random_mild_cov(RNG), [0.5, -0.4]), 40)
+    for fk in [one_mode] + [fk for plus, minus, _ in two_mode_pairs for fk in (plus, minus)]:
+        w, V = fk.eigen
+        assert w.min() >= 0.0
+        assert abs(w.sum() - 1.0) <= 1e-14
+        assert np.max(np.abs((V * w) @ V.conj().T - fk.rho)) <= 1e-14
+
+
+def test_fidelity_from_bare_rho_matches_stored_eigenbasis(two_mode_pairs):
+    def bare(fk):
+        return FockState(rho=fk.rho, n_modes=fk.n_modes, cutoff=fk.cutoff, tail_mass=fk.tail_mass)
+
+    for plus, minus, _ in two_mode_pairs:
+        assert abs(uhlmann_fidelity(bare(plus), bare(minus)) - uhlmann_fidelity(plus, minus)) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [0, -3, 2.5, "20", True])
+def test_rejects_cutoff_that_is_not_a_positive_integer(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        gaussian_to_fock(vacuum_state(1), cutoff)
+
+
+def test_accepts_numpy_integer_cutoff():
+    fk = gaussian_to_fock(vacuum_state(1), np.int64(8))
+    assert fk.rho.shape == (8, 8)

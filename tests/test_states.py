@@ -71,6 +71,16 @@ def test_state_validation():
         GaussianState(np.eye(2), [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_entries(bad):
+    cov = np.eye(4)
+    cov[1, 1] = bad
+    with pytest.raises(ValueError, match="covariance"):
+        GaussianState(cov)
+    with pytest.raises(ValueError, match="displacement"):
+        GaussianState(np.eye(4), [0.0, bad, 0.0, 0.0])
+
+
 def test_state_immutability():
     state = vacuum_state(1)
     with pytest.raises(ValueError):
@@ -241,6 +251,10 @@ def test_json_round_trip():
         ('{"n_modes": 1, "cov": [[1, 0], [0, "x"]], "disp": [0, 0]}', "cov[1][1]"),
         ('{"n_modes": 1, "cov": [[1, 0], [0, 1]], "disp": [0]}', "disp"),
         ('{"n_modes": 1, "cov": [[1, 0], [0, 1]], "disp": [0, true]}', "disp[1]"),
+        ('{"n_modes": 1, "cov": [[1, 0], [0, NaN]], "disp": [0, 0]}', "cov[1][1]"),
+        ('{"n_modes": 1, "cov": [[1, 0], [0, 1]], "disp": [0, -Infinity]}', "disp[1]"),
+        ('{"n_modes": 1, "cov": [[1, 0], [0, 1e400]], "disp": [0, 0]}', "cov[1][1]"),
+        ('{"n_modes": 1, "cov": [[1, 0], [0, 1' + "0" * 400 + ']], "disp": [0, 0]}', "cov[1][1]"),
     ],
 )
 def test_json_schema_errors_are_position_specific(doc, fragment):
