@@ -27,11 +27,15 @@ print(f"empirical eps_B = {stage.eps_b_hat:.5f} +- {stage.eps_b_se:.5f}")
 
 print("\n== One advantage-distillation pass (N = 3) ==")
 cfg3 = ProtocolConfig(x0=1.0, delta=0.05, n_samples=5_000_000, seed=12, n_rounds=3)
-result = run_simulation(sample_postselected_bits(state, cfg3), cfg3)
-print(f"block yield {result.ad_yield:.3f}, distilled error "
+stage3 = sample_postselected_bits(state, cfg3)
+result = run_simulation(stage3, cfg3)
+print(f"{result.distilled_blocks:,} of {stage3.accepted_pairs // 3:,} blocks kept "
+      f"(yield {result.ad_yield:.3f}), distilled error "
       f"{result.eps_bn_hat:.5f} +- {result.eps_bn_se:.5f}")
-exact = stage.eps_b_hat ** 3 / (stage.eps_b_hat ** 3 + (1 - stage.eps_b_hat) ** 3)
-print(f"i.i.d. prediction eps^3/(eps^3 + (1-eps)^3) = {exact:.5f}")
+eps3 = stage3.eps_b_hat
+exact = eps3 ** 3 / (eps3 ** 3 + (1 - eps3) ** 3)
+print(f"i.i.d. prediction from this stage's eps_B = {eps3:.5f}: "
+      f"eps^3/(eps^3 + (1-eps)^3) = {exact:.5f}")
 
 print("\n== Error decay rate across block lengths ==")
 slope_cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=20_000_000, seed=13)

@@ -5,24 +5,30 @@ both magnitudes land within a window around X0, binarized by sign, and
 fed through repetition-block advantage distillation.  One sampling stage
 feeds both the single distillation pass and the slope fit.  All randomness
 comes from counter-based Philox streams keyed on the run seed: one stream
-for the window counts, one for the distillation pass and one per block
-length of the slope fit, so results are bit-reproducible for a given
-configuration.
+for the stage (its window counts and its distillation pass) and one per
+block length of the slope fit, so results are bit-reproducible for a
+given configuration.
 
-The window counts are drawn in aggregate.  A raw draw lands in one of the
-four window boxes (+-x0 +- delta) x (+-x0 +- delta) or is rejected, and a
-kept pair's bits depend only on its box, so the five counts over n draws
-are multinomial.  The box probabilities are one-dimensional integrals over
-Alice's interval, computed by piecewise Gauss-Legendre quadrature; one
-multinomial draw then replaces drawing every raw pair, and the cost of
-the stage does not grow with the number of raw draws.
+The stage is drawn as counts; no pair is materialised.  A raw draw lands
+in one of the four window boxes (+-x0 +- delta) x (+-x0 +- delta) or is
+rejected, and a kept pair's bits depend only on its box.  The box
+probabilities are one-dimensional integrals over Alice's interval,
+computed by piecewise Gauss-Legendre quadrature.  The accepted count is
+then one binomial draw over the window probability, and each accepted
+pair is an error (its signs differ) independently with the window's error
+rate e = p_error_boxes / p_window.
 
-The slope fit draws each block length's counts in aggregate.  Over an
-i.i.d. error process a block is rejected, accepted correct or accepted in
-error with probabilities 1 - p_acc, (1 - eps)^N and eps^N, where
-p_acc = eps^N + (1 - eps)^N; the counts over n blocks are multinomial, so
-a binomial for the accepted blocks followed by a binomial for the errors
-among them has exactly the distribution of counting block by block.
+The distillation pass groups the accepted pairs into blocks of N by a
+uniform permutation.  Bob's decoded symbols are Alice's block bit flipped
+at each error pair, so a block's outcome depends only on its number of
+errors j, which over i.i.d. pairs is Bin(N, e): the block is accepted
+when j is 0 or N, and is a distilled error when j is N.  So the per-block error
+counts over the full blocks are one multinomial draw over the Bin(N, e)
+pmf, the pairs left over after the last full block add a Bin(n mod N, e)
+error count, and together they have exactly the joint law of shuffling
+and counting the pairs one by one.  The slope fit draws each block length
+from the same law, so the cost of the stage, the pass and the fit is
+O(N), whatever the number of raw or accepted pairs.
 """
 
 import functools
@@ -30,12 +36,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr, xlog1py, xlogy
 
 from .exceptions import InsufficientStatistics, NoAcceptedSamples
 from .states import GaussianDensity, GaussianState, _resolve_x_coords, quadrature_density
 
-# Stream-lane offsets keep the sampling and distillation draws on disjoint
+# Stream-lane offsets keep the stage and the slope fit's draws on disjoint
 # Philox keys for one seed.
 _LANE_SAMPLING = 0
 _LANE_AD = 1
@@ -44,7 +50,7 @@ _LANE_AD = 1
 # its error rate; SimulationResult.to_dict flags it as thin.
 THIN_ERRORS = 10
 
-# The window boxes as (sign of X_A, sign of X_B), in multinomial cell order.
+# The window boxes as (sign of X_A, sign of X_B), in _box_probabilities order.
 _BOX_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
 
 # Box quadrature, over Alice's interval in units of her standard deviation.
@@ -86,16 +92,20 @@ class ProtocolConfig:
 
 @dataclass(frozen=True, eq=False)
 class PostSelectedBits:
-    """Accepted bit pairs from the measurement stage, with error stats.
+    """Counts of the measurement stage and of its distillation pass.
 
     ``window_probability`` is the analytic probability that one raw draw
-    lands in the window.
+    lands in the window.  ``error_pairs`` of the ``accepted_pairs`` have
+    differing bits.  ``block_counts[j]`` is the number of full blocks of
+    the pass, of ``len(block_counts) - 1`` pairs each, that hold j error
+    pairs; the pairs left over after the last full block are counted in
+    ``error_pairs`` only.
     """
 
-    bits_a: np.ndarray
-    bits_b: np.ndarray
     n_raw: int
     accepted_pairs: int
+    error_pairs: int
+    block_counts: np.ndarray
     eps_b_hat: float
     eps_b_se: float
     window_probability: float
@@ -119,7 +129,11 @@ class SimulationResult:
     config: ProtocolConfig
 
     def to_dict(self) -> dict:
-        """JSON-ready summary; ``thin`` is set below THIN_ERRORS distilled errors."""
+        """JSON-ready summary; ``thin`` is set below THIN_ERRORS distilled errors.
+
+        With no distilled block, ``eps_bn_hat`` and ``eps_bn_se`` are None
+        (JSON null), since strict JSON has no NaN.
+        """
         return {
             "accepted_pairs": self.accepted_pairs,
             "n_raw": self.n_raw,
@@ -128,8 +142,8 @@ class SimulationResult:
             "eps_b_se": self.eps_b_se,
             "distilled_blocks": self.distilled_blocks,
             "distilled_errors": self.distilled_errors,
-            "eps_bn_hat": self.eps_bn_hat,
-            "eps_bn_se": self.eps_bn_se,
+            "eps_bn_hat": self.eps_bn_hat if self.distilled_blocks else None,
+            "eps_bn_se": self.eps_bn_se if self.distilled_blocks else None,
             "thin": self.distilled_errors < THIN_ERRORS,
             "ad_yield": self.ad_yield,
             "n_rounds": self.n_rounds,
@@ -199,20 +213,41 @@ def _box_probabilities(density: GaussianDensity, x0: float, delta: float) -> np.
     return np.bincount(box, pieces, minlength=len(_BOX_SIGNS)) / math.sqrt(2.0 * math.pi)
 
 
+def _block_outcomes(eps: float, n_rounds: int, n_blocks: int, rng: np.random.Generator):
+    """Error counts of ``n_blocks`` blocks of ``n_rounds`` i.i.d. pairs.
+
+    Returns ``counts`` with ``counts[j]`` the number of blocks holding j
+    error pairs, j = 0..n_rounds: one multinomial draw over the
+    Bin(n_rounds, eps) pmf.  The pmf comes from its logarithm, so no
+    power of eps underflows before the product does.
+    """
+    j = np.arange(n_rounds + 1)
+    log_pmf = (
+        gammaln(n_rounds + 1.0)
+        - gammaln(j + 1.0)
+        - gammaln(n_rounds - j + 1.0)
+        + xlogy(j, eps)
+        + xlog1py(n_rounds - j, -eps)
+    )
+    pmf = np.exp(log_pmf)
+    return rng.multinomial(n_blocks, pmf / pmf.sum())
+
+
 def sample_postselected_bits(
     state: GaussianState, cfg: ProtocolConfig, measured_x_coords=None
 ) -> PostSelectedBits:
-    """Run the measurement and post-selection stage.
+    """Run the measurement and post-selection stage and its distillation pass.
 
     Draws ``cfg.n_samples`` (X_A, X_B) pairs from the marginal density of
     the two measured X quadratures, keeps draws with | |X_i| - x0 | <= delta
-    on both sides, and binarizes positive to 0, negative to 1.  The counts
-    per window box are one multinomial draw over the exact box
-    probabilities, so the kept pairs come out grouped by box; the draw
-    costs the same for any ``cfg.n_samples``, and the bit arrays grow with
-    the accepted count only.  ``measured_x_coords`` resolves
-    as in the security analysis: by default the X quadratures of modes 0
-    and 1.
+    on both sides, binarizes positive to 0, negative to 1, and groups the
+    kept pairs into blocks of ``cfg.n_rounds`` for the distillation pass.
+    All of it is drawn as counts from the exact box probabilities (see the
+    module docstring): the accepted pairs, then the pass's per-block error
+    counts, then the errors among the pairs left over.  The draw costs the
+    same for any ``cfg.n_samples`` and any number of accepted pairs.
+    ``measured_x_coords`` resolves as in the security analysis: by default
+    the X quadratures of modes 0 and 1.
 
     Raises
     ------
@@ -227,23 +262,28 @@ def sample_postselected_bits(
             f"window x0={cfg.x0}, delta={cfg.delta} has probability {p_window}"
         )
     if p_window > 1.0:
-        # rounding when the boxes hold all the mass: rescale so that no cell
-        # exceeds 1 and the reject cell is 0
+        # rounding when the boxes hold all the mass: rescale so that the
+        # window probability is 1
         boxes, p_window = boxes / p_window, 1.0
     rng = _stream(cfg.seed, _LANE_SAMPLING, 0)
-    counts = rng.multinomial(cfg.n_samples, [*boxes, 1.0 - p_window])[:4]
-    n_acc = int(np.sum(counts))
+    n_acc = int(rng.binomial(cfg.n_samples, p_window))
     if n_acc == 0:
         raise NoAcceptedSamples(
             f"no samples accepted in window x0={cfg.x0}, delta={cfg.delta}"
         )
-    eps_hat = float(np.sum(counts[_BOX_SIGNS[:, 0] != _BOX_SIGNS[:, 1]])) / n_acc
+    eps_window = float(np.sum(boxes[_BOX_SIGNS[:, 0] != _BOX_SIGNS[:, 1]])) / p_window
+    n_blocks, n_left = divmod(n_acc, cfg.n_rounds)
+    block_counts = _block_outcomes(eps_window, cfg.n_rounds, n_blocks, rng)
+    block_counts.setflags(write=False)
+    n_err = int(block_counts @ np.arange(cfg.n_rounds + 1))
+    n_err += int(rng.binomial(n_left, eps_window))
+    eps_hat = n_err / n_acc
     se = math.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / n_acc) / n_acc)
     return PostSelectedBits(
-        bits_a=np.repeat(_BOX_SIGNS[:, 0] < 0, counts),
-        bits_b=np.repeat(_BOX_SIGNS[:, 1] < 0, counts),
         n_raw=cfg.n_samples,
         accepted_pairs=n_acc,
+        error_pairs=n_err,
+        block_counts=block_counts,
         eps_b_hat=eps_hat,
         eps_b_se=se,
         window_probability=p_window,
@@ -258,7 +298,9 @@ def advantage_distillation(
     Indices are randomly grouped into blocks of ``n_rounds``.  Per block,
     Alice draws a random bit c and announces the vector making each of her
     symbols XOR to c; Bob accepts only when his decoded symbols all agree.
-    Used symbols are discarded either way.
+    Used symbols are discarded either way.  The protocol pipeline draws
+    this pass's counts from their exact law instead (see the module
+    docstring); this bit-level pass is its reference.
 
     Returns
     -------
@@ -288,17 +330,29 @@ def advantage_distillation(
 
 
 def run_simulation(stage: PostSelectedBits, cfg: ProtocolConfig) -> SimulationResult:
-    """One advantage-distillation pass over the measurement stage's bits.
+    """The advantage-distillation pass of the measurement stage, as statistics.
 
-    ``stage`` is the result of ``sample_postselected_bits`` for ``cfg``;
-    the pass groups its bits into blocks of ``cfg.n_rounds``.
+    ``stage`` is the result of ``sample_postselected_bits`` for ``cfg``,
+    whose block counts are the pass over its pairs in blocks of
+    ``cfg.n_rounds``.
+
+    Raises
+    ------
+    InsufficientStatistics
+        If the accepted pairs do not fill one block.
     """
-    rng = _stream(cfg.seed, _LANE_AD, 0)
-    dist_a, dist_b, ad_yield = advantage_distillation(
-        stage.bits_a, stage.bits_b, cfg.n_rounds, rng
-    )
-    n_dist = dist_a.shape[0]
-    n_err = int(np.count_nonzero(dist_a != dist_b))
+    counts = stage.block_counts
+    if counts.size != cfg.n_rounds + 1:
+        raise ValueError(
+            f"stage drawn for blocks of {counts.size - 1} pairs, not {cfg.n_rounds}"
+        )
+    n_blocks = int(counts.sum())
+    if n_blocks == 0:
+        raise InsufficientStatistics(
+            f"{stage.accepted_pairs} accepted pairs do not fill one block of {cfg.n_rounds}"
+        )
+    n_err = int(counts[-1])
+    n_dist = int(counts[0]) + n_err
     if n_dist == 0:
         eps_bn = float("nan")
         se_bn = float("nan")
@@ -315,7 +369,7 @@ def run_simulation(stage: PostSelectedBits, cfg: ProtocolConfig) -> SimulationRe
         distilled_errors=n_err,
         eps_bn_hat=eps_bn,
         eps_bn_se=se_bn,
-        ad_yield=float(ad_yield),
+        ad_yield=n_dist / n_blocks,
         n_rounds=cfg.n_rounds,
         config=cfg,
     )
@@ -355,29 +409,6 @@ class SlopeFit:
         return "\n".join(lines) + "\n"
 
 
-def _ad_block_stats(
-    eps: float, n_rounds: int, n_blocks: int, seed: int, lane_index: int
-):
-    """Simulate distillation blocks over an i.i.d. error process.
-
-    Bob's decoded symbols are c XOR e_i, so a block's outcome depends only
-    on its error count: accepted when the count is 0 or n_rounds, a
-    distilled error when it is n_rounds.  The blocks' outcomes are
-    multinomial, so the accepted count is one binomial draw with
-    p_acc = eps^N + (1 - eps)^N and the error count one binomial draw over
-    the accepted blocks with eps^N / p_acc, both from the single stream
-    (seed, distillation lane, lane_index).
-    """
-    p_err = eps ** n_rounds
-    p_acc = p_err + (1.0 - eps) ** n_rounds
-    if p_acc == 0.0:
-        return 0, 0
-    rng = _stream(seed, _LANE_AD, lane_index)
-    accepted = int(rng.binomial(n_blocks, p_acc))
-    errors = int(rng.binomial(accepted, p_err / p_acc))
-    return accepted, errors
-
-
 def slope_check(
     stage: PostSelectedBits,
     cfg: ProtocolConfig,
@@ -388,8 +419,9 @@ def slope_check(
     """Fit the decay rate of the distilled error across block lengths.
 
     ``stage`` is the result of ``sample_postselected_bits`` for ``cfg``;
-    its error-rate estimate drives the distillation error process, which
-    is simulated at each block length with enough blocks for
+    its error-rate estimate drives the distillation error process, whose
+    blocks are drawn from the same law as the stage's pass
+    (``_block_outcomes``) at each block length, with enough blocks for
     ``target_errors`` expected errors, and log eps_BN is fitted against N
     by least squares.  A block length whose budget would exceed
     ``max_blocks_per_n`` blocks is simulated with that many, flagged
@@ -415,7 +447,9 @@ def slope_check(
             if capped
             else min(max_blocks_per_n, math.ceil(target_errors / expected_rate))
         )
-        accepted, errors = _ad_block_stats(eps, n, n_blocks, cfg.seed, lane_index=n)
+        counts = _block_outcomes(eps, n, n_blocks, _stream(cfg.seed, _LANE_AD, n))
+        errors = int(counts[-1])
+        accepted = int(counts[0]) + errors
         sufficient = not capped and errors >= 100 and accepted > errors
         eps_bn = errors / accepted if accepted else float("nan")
         points.append(

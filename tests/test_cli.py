@@ -210,6 +210,43 @@ def test_simulate_insufficient_statistics_exit_code(tmp_path, capsys, monkeypatc
     assert "insufficient" in err.lower()
 
 
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that strict JSON lacks."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_simulate_without_distilled_blocks_is_strict_json(tmp_path, capsys):
+    # ~230 accepted pairs give 5 blocks of 40, and a block of 40 pairs at
+    # an error rate near 0.2 is all-agreeing with probability ~1e-4
+    path = write_state(tmp_path, "s.json", symmetric_state(2.0, 1.2, 1.2))
+    args = ("simulate", "--state", path, "--samples", "1000", "--n-rounds", "40",
+            "--seed", "3", "--delta", "0.5")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["distilled_blocks"] == 0
+    assert doc["eps_bn_hat"] is None and doc["eps_bn_se"] is None
+    out_path = tmp_path / "sim.json"
+    code, _, _ = run_cli(capsys, *args, "--out", str(out_path))
+    assert code == 0
+    assert _strict_json(out_path.read_text()) == doc
+
+
+def test_simulate_fewer_pairs_than_one_block_exit_code(tmp_path, capsys):
+    path = write_state(tmp_path, "s.json", symmetric_state(2.0, 1.2, 1.2))
+    code, out, err = run_cli(
+        capsys, "simulate", "--state", path, "--samples", "1000", "--n-rounds", "500",
+        "--delta", "0.5", "--seed", "3",
+    )
+    assert code == 3
+    assert out == ""
+    assert "insufficient" in err.lower() and "block" in err
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     path = write_state(tmp_path, "s.json", symmetric_state(2.0, 1.2, 1.2))
     monkeypatch.setenv("CVPRIVACY_SEED", "11")

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cvprivacy import (
     vacuum_state,
 )
 from cvprivacy import simulate
-from cvprivacy.simulate import _ad_block_stats, _box_probabilities
+from cvprivacy.simulate import _block_outcomes, _box_probabilities, _stream
 from cvprivacy.states import GaussianDensity, _resolve_x_coords, quadrature_density
 
 REFERENCE = symmetric_state(2.0, 1.2, 1.2)
@@ -132,6 +133,108 @@ def test_ad_distillation_reduces_error():
     assert result.eps_bn_hat <= result.eps_b_hat
 
 
+def _bit_level_pass(boxes, n_raw, n_rounds, rng):
+    """Reference stage and pass: draw the window counts, build the bits, distill.
+
+    Returns (accepted pairs, error pairs, distilled blocks, distilled
+    errors) from bit arrays built out of one multinomial over the window
+    boxes and the reject cell, passed through ``advantage_distillation``.
+    """
+    counts = rng.multinomial(n_raw, [*boxes, 1.0 - boxes.sum()])[:4]
+    signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    bits_a = np.repeat(signs[:, 0] < 0, counts)
+    bits_b = np.repeat(signs[:, 1] < 0, counts)
+    dist_a, dist_b, _ = advantage_distillation(bits_a, bits_b, n_rounds, rng)
+    n_err = int(np.count_nonzero(dist_a != dist_b))
+    return counts.sum(), counts[1] + counts[2], dist_a.shape[0], n_err
+
+
+def test_counts_only_pass_has_the_law_of_the_bit_level_pass(monkeypatch):
+    # the stage's (accepted, error pairs, distilled blocks, distilled
+    # errors) against bit arrays shuffled into blocks, over independent
+    # seeds: means within 4 SE of each other, and the correlation of
+    # error pairs with distilled errors (about 0.2 here) within 4 SE; both
+    # paths start from the same box probabilities, computed once
+    cfg = dict(x0=1.0, delta=0.05, n_samples=2_000_000, n_rounds=3)
+    boxes = _box_probabilities(quadrature_density(REFERENCE, (0, 2)), 1.0, 0.05)
+    monkeypatch.setattr(simulate, "_box_probabilities", lambda *a: boxes)
+    reps = 1_000
+    new, old = [], []
+    for seed in range(1, reps + 1):
+        c = ProtocolConfig(seed=seed, **cfg)
+        stage = sample_postselected_bits(REFERENCE, c)
+        result = run_simulation(stage, c)
+        new.append((stage.accepted_pairs, stage.error_pairs,
+                    result.distilled_blocks, result.distilled_errors))
+        old.append(_bit_level_pass(boxes, cfg["n_samples"], 3, np.random.default_rng(seed)))
+    new, old = np.array(new, dtype=float), np.array(old, dtype=float)
+    gap = np.abs(new.mean(axis=0) - old.mean(axis=0))
+    se = np.sqrt((new.var(axis=0) + old.var(axis=0)) / reps)
+    assert np.all(gap <= 4 * se), (new.mean(axis=0), old.mean(axis=0), se)
+    r_new = np.corrcoef(new[:, 1], new[:, 3])[0, 1]
+    r_old = np.corrcoef(old[:, 1], old[:, 3])[0, 1]
+    assert r_old > 0.15
+    assert abs(r_new - r_old) <= 4 * math.sqrt(2.0) * (1 - r_old**2) / math.sqrt(reps)
+
+
+def test_stage_counts_are_consistent():
+    cfg = ProtocolConfig(x0=1.0, delta=0.2, n_samples=1_000_000, seed=6, n_rounds=4)
+    stage = sample_postselected_bits(REFERENCE, cfg)
+    counts = stage.block_counts
+    assert counts.shape == (5,) and not counts.flags.writeable
+    assert counts.sum() == stage.accepted_pairs // 4
+    block_errors = int(counts @ np.arange(5))
+    assert block_errors <= stage.error_pairs <= block_errors + stage.accepted_pairs % 4
+    assert stage.eps_b_hat == stage.error_pairs / stage.accepted_pairs
+    result = run_simulation(stage, cfg)
+    assert result.distilled_blocks == counts[0] + counts[4]
+    assert result.distilled_errors == counts[4]
+    assert result.ad_yield == result.distilled_blocks / counts.sum()
+
+
+def test_pass_needs_the_stage_of_its_block_length():
+    cfg = ProtocolConfig(x0=1.0, delta=0.2, n_samples=100_000, seed=6, n_rounds=4)
+    stage = sample_postselected_bits(REFERENCE, cfg)
+    with pytest.raises(ValueError, match="blocks of 4"):
+        run_simulation(stage, ProtocolConfig(x0=1.0, delta=0.2, n_samples=100_000, seed=6))
+
+
+def test_fewer_accepted_pairs_than_one_block():
+    cfg = ProtocolConfig(x0=1.0, delta=0.05, n_samples=10_000, seed=2, n_rounds=1_000)
+    stage = sample_postselected_bits(REFERENCE, cfg)
+    assert 0 < stage.accepted_pairs < cfg.n_rounds
+    assert stage.block_counts.sum() == 0
+    with pytest.raises(InsufficientStatistics):
+        run_simulation(stage, cfg)
+
+
+def test_wide_window_pass_does_not_grow_with_accepted_pairs():
+    # 10^8 raw draws, of which ~7.8e7 land in the window: the stage and the
+    # pass are counts, so neither time nor memory follows the accepted pairs
+    state = two_mode_squeezed(0.5)
+    cfg = ProtocolConfig(x0=1.0, delta=0.9, n_samples=100_000_000, seed=1, n_rounds=3)
+    run_simulation(sample_postselected_bits(state, cfg), cfg)
+    start = time.perf_counter()
+    stage = sample_postselected_bits(state, cfg)
+    result = run_simulation(stage, cfg)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1
+    tracemalloc.start()
+    try:
+        run_simulation(sample_postselected_bits(state, cfg), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    n, p = cfg.n_samples, stage.window_probability
+    assert p > 0.75
+    assert abs(stage.accepted_pairs - n * p) <= 6 * math.sqrt(n * p * (1 - p))
+    eps = stage.eps_b_hat
+    p_acc = eps**3 + (1 - eps) ** 3
+    blocks = stage.accepted_pairs // 3
+    assert abs(result.distilled_blocks - blocks * p_acc) <= 6 * math.sqrt(blocks * p_acc)
+
+
 def test_slope_check_reference_state():
     cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=8_000_000, seed=13)
     fit = slope_check(sample_postselected_bits(REFERENCE, cfg), cfg, range(1, 5))
@@ -184,19 +287,30 @@ def test_slope_check_far_block_lengths_are_flagged():
 @pytest.mark.parametrize("n_rounds", [1, 4, 8])
 def test_aggregate_block_counts_match_multinomial(eps, n_rounds):
     n_blocks = 10_000_000
-    accepted, errors = _ad_block_stats(eps, n_rounds, n_blocks, seed=77, lane_index=n_rounds)
+    counts = _block_outcomes(eps, n_rounds, n_blocks, _stream(77, 1, n_rounds))
+    assert counts.shape == (n_rounds + 1,) and counts.sum() == n_blocks
+    pmf = np.array([math.comb(n_rounds, j) * eps**j * (1 - eps) ** (n_rounds - j)
+                    for j in range(n_rounds + 1)])
+    assert np.all(np.abs(counts - n_blocks * pmf) <= 6 * np.sqrt(n_blocks * pmf * (1 - pmf)))
+    accepted, errors = counts[0] + counts[-1], counts[-1]
     p_err = eps ** n_rounds
     p_acc = p_err + (1.0 - eps) ** n_rounds
     q = p_err / p_acc
     assert abs(accepted - n_blocks * p_acc) <= 6 * np.sqrt(n_blocks * p_acc * (1 - p_acc))
     assert abs(errors - accepted * q) <= 6 * np.sqrt(accepted * q * (1 - q))
-    again = _ad_block_stats(eps, n_rounds, n_blocks, seed=77, lane_index=n_rounds)
-    assert again == (accepted, errors)
+    again = _block_outcomes(eps, n_rounds, n_blocks, _stream(77, 1, n_rounds))
+    assert np.array_equal(again, counts)
 
 
 def test_aggregate_block_counts_at_the_block_cap():
-    accepted, errors = _ad_block_stats(0.13, 8, 2_000_000_000, seed=1, lane_index=8)
-    assert 0 <= errors <= accepted <= 2_000_000_000
+    counts = _block_outcomes(0.13, 8, 2_000_000_000, _stream(1, 1, 8))
+    assert np.all(counts >= 0) and counts.sum() == 2_000_000_000
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_block_outcomes_of_certain_pairs(eps):
+    counts = _block_outcomes(eps, 5, 1_000, _stream(2, 1, 5))
+    assert counts[5 if eps else 0] == 1_000 and counts.sum() == 1_000
 
 
 # -- the aggregate window draw against independent references ---------------
@@ -286,7 +400,7 @@ def test_window_counts_match_rejection_oracle(name):
         stage = sample_postselected_bits(state, cfg, coords)
         p = stage.window_probability
         assert abs(stage.accepted_pairs - n * p) <= 6 * math.sqrt(n * p * (1 - p))
-        n_err = int(np.count_nonzero(stage.bits_a != stage.bits_b))
+        n_err = stage.error_pairs
         assert stage.eps_b_hat == n_err / stage.accepted_pairs
         acc, err = acc + stage.accepted_pairs, err + n_err
         a, e = _rejection_counts(state, cfg, coords)
