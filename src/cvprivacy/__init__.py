@@ -2,8 +2,9 @@
 
 The package is organized around a small covariance-matrix data model:
 
-- :mod:`cvprivacy.symplectic` — symplectic forms, spectra, Williamson
-  decompositions, block/pseudo inverses, matrix square roots.
+- :mod:`cvprivacy.symplectic` — symplectic forms, the uncertainty check,
+  spectra and Williamson decompositions from one Hermitian eigenproblem,
+  block/pseudo inverses.
 - :mod:`cvprivacy.states` — the GaussianState model, physicality, purity,
   partial transposition, PPT/separability verdicts, quadrature densities.
 - :mod:`cvprivacy.ops` — symplectic unitaries, general Gaussian CP maps,

@@ -14,9 +14,9 @@ from .exceptions import DimensionMismatch, NotSymplectic, SingularKernel, Unphys
 from .states import GaussianState, quadrature_density
 from .symplectic import (
     TAU_RANK,
+    _uncertainty_ok,
     is_symplectic,
     pseudo_inverse,
-    symplectic_form,
     x_projector,
 )
 
@@ -46,12 +46,7 @@ class GaussianChannel:
             )
         if delta.shape[0] != dim:
             raise DimensionMismatch(f"delta length {delta.shape[0]} != {dim}")
-        # CP condition gamma >= i sigma, checked in the Hermitian form
-        # gamma + i sigma >= 0: stable even for strongly squeezed gamma,
-        # where the complex-eigensolver route loses precision.
-        n_total = self.n_in + self.n_out
-        bound = np.linalg.eigvalsh(gamma + 1j * symplectic_form(n_total)).min()
-        if bound < -1e-10 * max(1.0, np.max(np.abs(gamma))):
+        if not _uncertainty_ok(gamma):
             raise Unphysical("channel covariance matrix is not physical (map not CP)")
         gamma.setflags(write=False)
         delta.setflags(write=False)

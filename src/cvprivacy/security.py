@@ -21,17 +21,12 @@ from .states import (
     GaussianState,
     SymmetricStateParams,
     _nppt_stack,
-    _physical_stack,
     _require_physical,
     _resolve_x_coords,
     is_nppt,
     make_symmetric_state,
 )
-from .symplectic import (
-    momentum_flip,
-    psd_sqrt_of_similar,
-    symplectic_form,
-)
+from .symplectic import _uncertainty_ok, _williamson_kernel, momentum_flip, symplectic_form
 
 # Exponent comparisons treat differences within this band as ties and fail
 # safe toward "insecure"; matches the PPT boundary band in spirit.
@@ -79,17 +74,24 @@ class Purification:
 def purify(state: GaussianState) -> Purification:
     """Standard purification with Eve's covariance a momentum-flipped copy.
 
-    The coupling block is F = sigma [-(sigma gamma)^2 - 1]^{1/2} theta and
-    Eve's block is theta gamma theta; the joint covariance is then pure and
-    reduces exactly to the input on the system block.
+    With the Williamson form gamma = T D T^T (T = S^{-1}, D the symplectic
+    spectrum repeated pairwise), the coupling block is
+    F = T sigma (D^2 - 1)^{1/2} T^T theta and Eve's block is
+    theta gamma theta.  This F equals sigma [-(sigma gamma)^2 - 1]^{1/2} theta
+    with the principal root, taken without a non-symmetric eigenproblem.
+    The joint covariance is then pure and reduces exactly to the input on
+    the system block.
     """
     _require_physical(state)
     n = state.n_modes
     sigma = symplectic_form(n)
     theta = momentum_flip(n)
-    sg = sigma @ state.cov
-    root = psd_sqrt_of_similar(-sg @ sg - np.eye(2 * n))
-    F = sigma @ root @ theta
+    nu, O, R, _ = _williamson_kernel(state.cov)
+    d = np.repeat(nu, 2)
+    # S^{-1} for S = D^{1/2} O^T R^{-1}, formed without an inverse; a pure
+    # mode's nu may round below 1, and its coupling is then zero
+    T = (R @ O) / np.sqrt(d)
+    F = T @ sigma @ (np.sqrt(np.maximum(d * d - 1.0, 0.0))[:, None] * T.T) @ theta
     eve_cov = theta @ state.cov @ theta
     # assembled without re-symmetrizing so the system block is preserved
     # bit-exactly
@@ -429,7 +431,7 @@ def _report_stack(covs: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     """
     coords = _resolve_x_coords(GaussianState(np.eye(covs.shape[-1])), split)
     flags = np.zeros((len(covs), 4), dtype=bool)
-    rows = np.flatnonzero(_physical_stack(covs))
+    rows = np.flatnonzero(_uncertainty_ok(covs))
     nppt = _nppt_stack(covs[rows], split)
     k_b, k_f, ok = _exponent_stack(covs[rows], coords)
     rows, nppt = rows[ok], nppt[ok]

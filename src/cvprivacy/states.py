@@ -13,17 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotPositiveDefinite, StateSchemaError, Unphysical
-from .symplectic import (
-    TAU_LIN,
-    TAU_PSD,
-    _below_vacuum,
-    _check_spd,
-    _spd_eigh,
-    _spectra,
-    symplectic_eigenvalues,
-    symplectic_form,
-)
+from .exceptions import StateSchemaError, Unphysical
+from .symplectic import TAU_LIN, TAU_PSD, _uncertainty_ok, symplectic_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,18 +194,14 @@ def symmetric_state(lam: float, c_x: float, c_p: float) -> GaussianState:
 
 
 def is_physical(state: GaussianState) -> bool:
-    """True iff every symplectic eigenvalue is >= 1 - TAU_PSD."""
-    try:
-        return not _below_vacuum(symplectic_eigenvalues(state.cov))
-    except NotPositiveDefinite:
-        return False
+    """True iff gamma + i sigma >= 0, the uncertainty bound.
 
-
-def _physical_stack(covs: np.ndarray) -> np.ndarray:
-    """``is_physical`` for each covariance matrix of a stack (N, 2n, 2n)."""
-    physical = _spd_eigh(covs)[2]
-    physical[physical] = ~_below_vacuum(_spectra(covs[physical]))
-    return physical
+    Checked in Hermitian form: the smallest eigenvalue of gamma + i sigma
+    may fall below zero by the band max(TAU_PSD, 64 eps max|gamma|), which
+    covers the eigensolver's error at any squeezing.  Boundary states count
+    as physical.
+    """
+    return bool(_uncertainty_ok(state.cov))
 
 
 def _require_physical(state: GaussianState):
@@ -281,35 +268,29 @@ def _bob_momentum_flip(split: BipartiteSplit) -> np.ndarray:
 def is_nppt(state: GaussianState, split: BipartiteSplit) -> bool:
     """True iff the partial transpose violates the uncertainty bound.
 
-    Boundary states (partially transposed minimal symplectic eigenvalue
-    within TAU_PSD of 1) are classified PPT, failing safe toward
-    "unentangled".
+    The partial transpose is tested as gamma~ + i sigma >= 0 with the band
+    of ``is_physical``; boundary states inside the band are classified
+    PPT, failing safe toward "unentangled".
     """
     _require_physical(state)
-    transposed = partial_transpose(state, split)
-    return bool(_below_vacuum(symplectic_eigenvalues(transposed.cov)))
+    _check_split(state, split)
+    return bool(_nppt_stack(state.cov, split))
 
 
 def _nppt_stack(covs: np.ndarray, split: BipartiteSplit) -> np.ndarray:
-    """``is_nppt`` for each physical covariance matrix of a stack (N, 2n, 2n).
-
-    Raises NotPositiveDefinite, as ``is_nppt`` does, if a partial transpose
-    fails the positive-definiteness check.
-    """
+    """``is_nppt`` for each physical covariance matrix of a stack (..., 2n, 2n)."""
     flip = _bob_momentum_flip(split)
-    transposed = covs * np.outer(flip, flip)
-    ok = _spd_eigh(transposed)[2]
-    if not ok.all():
-        _check_spd(transposed[np.argmin(ok)])
-    return _below_vacuum(_spectra(transposed))
+    return ~_uncertainty_ok(covs * np.outer(flip, flip))
 
 
 def ppt_criterion_min_eig(state: GaussianState, split: BipartiteSplit) -> float:
     """Minimum eigenvalue of gamma - sigma~ gamma^{-1} sigma~^T.
 
-    Independent route to the NPPT verdict: the state is NPPT exactly when
-    this is negative (below -TAU_PSD outside the boundary band), where
-    sigma~ is the symplectic form conjugated by Bob's momentum flip.
+    Independent route to the NPPT verdict, with sigma~ the symplectic form
+    conjugated by Bob's momentum flip: the state is NPPT exactly when this
+    is negative.  ``is_nppt`` reads its verdict from the Hermitian
+    gamma~ + i sigma instead, so near zero (within its uncertainty band of
+    max(TAU_PSD, 64 eps max|gamma|)) the two routes may round apart.
     """
     _require_physical(state)
     _check_split(state, split)

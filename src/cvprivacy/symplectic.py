@@ -10,7 +10,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .exceptions import ComplexSpectrum, NotPositiveDefinite, SingularBlock
 
@@ -69,59 +68,76 @@ def is_symplectic(S: np.ndarray, tol: float = TAU_LIN) -> bool:
     return bool(np.max(np.abs(S @ sigma @ S.T - sigma)) <= tol)
 
 
-def _spd_eigh(C: np.ndarray, tol: float = TAU_PSD):
-    """eigh of each symmetrized matrix of a stack, and which clear the margin.
+def _uncertainty_ok(C: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack satisfies the uncertainty bound.
 
-    ``C`` has shape (..., 2n, 2n); a single matrix is a stack of one.  LAPACK
-    runs the same routine on every matrix of a stack as on a lone matrix, so
-    a stacked result equals the one-matrix result bit for bit.
+    The bound is C + i sigma >= 0 in Hermitian form.  ``C`` has shape
+    (..., 2n, 2n); a single matrix is a stack of one.  LAPACK runs the same
+    routine on every matrix of a stack as on a lone matrix, so a stacked
+    verdict equals the one-matrix verdict.
+
+    The smallest eigenvalue may fall below zero by the band
+    max(TAU_PSD, 64 eps max|C|): the eigensolver's error grows like
+    eps |C|, and the absolute floor keeps boundary states of small
+    matrices.  Matrices inside the band pass, which makes ties fail safe
+    toward "physical" and, on a partial transpose, toward "PPT".
+    """
+    w = np.linalg.eigvalsh(C + 1j * _symplectic_form(C.shape[-1] // 2))
+    band = np.maximum(TAU_PSD, 64 * np.finfo(float).eps * np.abs(C).max(axis=(-2, -1)))
+    return w[..., 0] >= -band
+
+
+def _williamson_kernel(C: np.ndarray):
+    """Symplectic spectrum and normal-form basis of a positive-definite C.
+
+    With R = C^{1/2}, the matrix i R sigma R is Hermitian with eigenvalues
+    +/- nu.  An eigenvector z of -nu splits as z = (o1 + i o2) / sqrt(2)
+    into orthonormal real vectors with R sigma R o1 = -nu o2 and
+    R sigma R o2 = nu o1, so the pairs (o1, o2) form a real orthogonal O
+    with O^T R sigma R O = diag(nu) sigma.  Eigenvectors of a repeated nu
+    stay orthonormal in this split, since the conjugate of the -nu
+    eigenspace is the +nu eigenspace.
 
     Returns
     -------
     tuple
-        ``(w, V, ok)``: ascending eigenvalues, eigenvectors, and a boolean
-        array, False where the smallest eigenvalue is below ``tol``.
+        ``(nu, O, R, R_inv)``: the symplectic eigenvalues in non-increasing
+        order, O, C^{1/2} and C^{-1/2}.
+
+    Raises
+    ------
+    ValueError
+        If C is not a symmetric 2n x 2n matrix.
+    NotPositiveDefinite
+        If the smallest eigenvalue of C is below TAU_PSD.
     """
-    w, V = np.linalg.eigh(0.5 * (C + C.swapaxes(-1, -2)))
-    return w, V, ~(w.min(axis=-1) < tol)
-
-
-def _check_spd(C: np.ndarray, tol: float = TAU_PSD) -> np.ndarray:
-    """Validate symmetry and positive definiteness; return eigh pair."""
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] % 2 != 0:
         raise ValueError(f"expected a square 2n x 2n matrix, got shape {C.shape}")
     if np.max(np.abs(C - C.T)) > TAU_LIN:
         raise ValueError("matrix is not symmetric within tolerance")
-    w, V, ok = _spd_eigh(C, tol)
-    if not ok:
+    w, V = np.linalg.eigh(0.5 * (C + C.T))
+    if w[0] < TAU_PSD:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {w.min():.3e} below margin {tol:.1e}"
+            f"smallest eigenvalue {w[0]:.3e} below margin {TAU_PSD:.1e}"
         )
-    return w, V
-
-
-def _spectra(C: np.ndarray) -> np.ndarray:
-    """Symplectic spectra of a stack (..., 2n, 2n) that passed ``_spd_eigh``.
-
-    Moduli of the eigenvalues of ``i sigma C``, one per +/- pair, in
-    non-increasing order along the last axis.
-    """
-    w = np.linalg.eigvals(1j * symplectic_form(C.shape[-1] // 2) @ C)
-    return np.sort(np.abs(w.real), axis=-1)[..., ::-1][..., ::2]
-
-
-def _below_vacuum(spectra: np.ndarray):
-    """Whether the smallest symplectic eigenvalue of each spectrum of a stack
-    falls below the vacuum level 1 by more than TAU_PSD."""
-    return spectra.min(axis=-1) < 1.0 - TAU_PSD
+    n = w.shape[0] // 2
+    R = (V * np.sqrt(w)) @ V.T
+    R_inv = (V / np.sqrt(w)) @ V.T
+    vals, Z = np.linalg.eigh(1j * R @ _symplectic_form(n) @ R)
+    O = np.empty((2 * n, 2 * n))
+    O[:, 0::2] = np.sqrt(2.0) * Z[:, :n].real
+    O[:, 1::2] = np.sqrt(2.0) * Z[:, :n].imag
+    return -vals[:n], O, R, R_inv
 
 
 def symplectic_eigenvalues(C: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive-definite matrix.
 
-    The values are the moduli of the eigenvalues of ``i sigma C``, which
-    occur in +/- pairs; one representative per pair is returned.
+    The values are the eigenvalues +/- nu of the Hermitian i R sigma R with
+    R = C^{1/2}, one representative per pair.  They carry an error of
+    about eps |C|^2, so physicality and PPT verdicts do not read them: those
+    test C + i sigma >= 0 directly.
 
     Parameters
     ----------
@@ -138,8 +154,7 @@ def symplectic_eigenvalues(C: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If the smallest eigenvalue of C is below the margin.
     """
-    _check_spd(C)
-    return _spectra(C).copy()
+    return _williamson_kernel(C)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +180,9 @@ class WilliamsonDecomposition:
 def williamson(C: np.ndarray) -> WilliamsonDecomposition:
     """Compute a Williamson decomposition of a positive-definite matrix.
 
-    Constructs S from the real Schur form of C^{-1/2} sigma C^{-1/2}; any S
+    S = D^{1/2} O^T C^{-1/2}, with D the spectrum repeated pairwise and O
+    the real orthogonal basis in which C^{1/2} sigma C^{1/2} takes the
+    normal form D sigma (both from one Hermitian eigenproblem).  Any S
     satisfying the two congruence invariants is an equally valid witness.
 
     Parameters
@@ -181,33 +198,9 @@ def williamson(C: np.ndarray) -> WilliamsonDecomposition:
     ------
     NotPositiveDefinite
     """
-    w, V = _check_spd(C)
-    n = C.shape[0] // 2
-    C_inv_half = (V / np.sqrt(w)) @ V.T
-    sigma = symplectic_form(n)
-    W = C_inv_half @ sigma @ C_inv_half
-    W = 0.5 * (W - W.T)
-    T, O = schur(W, output="real")
-
-    # Each 2x2 Schur block of the antisymmetric W is [[0, b], [-b, 0]] with
-    # b = 1/lambda; flip column pairs so b > 0, then sort pairs by lambda.
-    lam = np.empty(n)
-    for i in range(n):
-        b = T[2 * i, 2 * i + 1]
-        if b < 0:
-            O[:, [2 * i, 2 * i + 1]] = O[:, [2 * i + 1, 2 * i]]
-            b = -b
-        lam[i] = 1.0 / b
-    order = np.argsort(-lam)
-    col_perm = np.empty(2 * n, dtype=int)
-    col_perm[0::2] = 2 * order
-    col_perm[1::2] = 2 * order + 1
-    O = O[:, col_perm]
-    lam = lam[order]
-
-    D_half = np.repeat(np.sqrt(lam), 2)
-    S = (D_half[:, None] * O.T) @ C_inv_half
-    return WilliamsonDecomposition(S=S, spectrum=lam)
+    nu, O, _, R_inv = _williamson_kernel(C)
+    S = (np.sqrt(np.repeat(nu, 2))[:, None] * O.T) @ R_inv
+    return WilliamsonDecomposition(S=S, spectrum=nu)
 
 
 def block_inverse(A: np.ndarray, B: np.ndarray, C: np.ndarray):

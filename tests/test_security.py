@@ -74,6 +74,25 @@ def test_purify_random_states_reduce_correctly():
         assert np.max(np.abs(symplectic_eigenvalues(pur.joint.cov) - 1.0)) < 1e-6
 
 
+def test_purify_strongly_mixed_states():
+    # strong mixing: cond(gamma) reaches ~1e11 in this draw
+    rng = np.random.default_rng(0)
+    for i in range(300):
+        state = random_physical_state(rng, 2 + i % 3, mixing=1.0)
+        np.testing.assert_array_equal(purify(state).system_cov, state.cov)
+
+
+@pytest.mark.parametrize("r", [2.0, 3.75, 4.0])
+def test_purify_condition_fidelity_chain_on_strong_squeezing(r):
+    state = two_mode_squeezed(r)
+    pur = purify(state)
+    assert np.max(np.abs(symplectic_eigenvalues(pur.joint.cov) - 1.0)) < 1e-9
+    cond = eve_conditional_state(pur, 1.0)
+    chain = gaussian_fidelity_equal_cov(cond.cov, cond.disp_plus, cond.disp_minus)
+    closed = np.exp(-eve_fidelity_exponent(state))
+    assert abs(chain - closed) <= 1e-9 * closed
+
+
 # -- Eve's conditional state ---------------------------------------------------
 
 
@@ -269,17 +288,27 @@ def test_report_examples():
         (tensor(symmetric_state(2.0, 1.3, 1.3), vacuum_state(1)), BipartiteSplit(1, 2)),
     ],
 )
-def test_report_computes_two_spectra(monkeypatch, state, split):
-    # one spectrum of gamma for physicality, one of its partial transpose
-    calls = []
-    real = cvprivacy.symplectic_eigenvalues
+def test_report_makes_two_uncertainty_checks(monkeypatch, state, split):
+    # one uncertainty check of gamma for physicality, one of its partial
+    # transpose, and no symplectic spectrum
+    checks, spectra = [], []
+    real_check = cvprivacy.symplectic._uncertainty_ok
+    real_spectrum = cvprivacy.symplectic_eigenvalues
     for name, module in list(sys.modules.items()):
-        if name.startswith("cvprivacy.") and hasattr(module, "symplectic_eigenvalues"):
+        if not name.startswith("cvprivacy."):
+            continue
+        if hasattr(module, "_uncertainty_ok"):
             monkeypatch.setattr(
-                module, "symplectic_eigenvalues", lambda C: calls.append(C) or real(C)
+                module, "_uncertainty_ok", lambda C: checks.append(C) or real_check(C)
+            )
+        if hasattr(module, "symplectic_eigenvalues"):
+            monkeypatch.setattr(
+                module,
+                "symplectic_eigenvalues",
+                lambda C: spectra.append(C) or real_spectrum(C),
             )
     analyze_state(state, split)
-    assert len(calls) == 2
+    assert (len(checks), len(spectra)) == (2, 0)
 
 
 def test_report_nesting_invariants_on_random_states():

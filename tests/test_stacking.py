@@ -16,8 +16,8 @@ from cvprivacy import (
 )
 from cvprivacy.cli import SweepSpec, sweep_rows
 from cvprivacy.security import _exponent_stack, _report_stack, _verdicts
-from cvprivacy.states import _nppt_stack, _physical_stack, _symmetric_stack
-from cvprivacy.symplectic import TAU_PSD, _spd_eigh, _spectra
+from cvprivacy.states import _nppt_stack, _symmetric_stack
+from cvprivacy.symplectic import TAU_PSD, _uncertainty_ok
 
 DRAWS = 300
 # (lam, c) where lam ** 2 (Python's float power) and lam * lam (numpy's
@@ -41,17 +41,18 @@ STACKS = _stacks()
 
 
 @pytest.mark.parametrize("n", sorted(STACKS))
-def test_stacked_spectra_are_bit_equal_to_one_state(n):
+def test_stacked_uncertainty_checks_are_bit_equal_to_one_state(n):
     covs = STACKS[n]
-    physical = _physical_stack(covs)
+    physical = _uncertainty_ok(covs)
     assert physical[:-1].all() and not physical[-1]
-    assert _spd_eigh(covs)[2].all()
-    spectra = _spectra(covs)
-    for cov, spectrum, phys in zip(covs, spectra, physical):
-        assert np.array_equal(spectrum, symplectic_eigenvalues(cov))
-        assert phys == is_physical(GaussianState(cov))
-    # the unphysical member leaves its neighbours' spectra unchanged
-    assert np.array_equal(_spectra(covs[:-1]), spectra[:-1])
+    # the unphysical member is positive definite: the bound, not the
+    # sign of gamma, rejects it
+    assert np.linalg.eigvalsh(covs[-1]).min() > 0.0
+    for cov, phys in zip(covs, physical):
+        assert phys == _uncertainty_ok(cov) == is_physical(GaussianState(cov))
+        assert phys == (symplectic_eigenvalues(cov).min() >= 1.0 - 1e-9)
+    # the unphysical member leaves its neighbours' verdicts unchanged
+    assert np.array_equal(_uncertainty_ok(covs[:-1]), physical[:-1])
 
 
 @pytest.mark.parametrize("n", sorted(STACKS))

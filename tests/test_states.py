@@ -92,6 +92,15 @@ def test_is_physical_basics():
     assert not is_physical(GaussianState(0.5 * np.eye(2)))
 
 
+@pytest.mark.parametrize("r", [4.0, 6.0, 8.0])
+def test_is_physical_accepts_strongly_squeezed_pure_states(r):
+    # nu_min = 1 exactly, while a computed nu errs by about eps |gamma|^2,
+    # past TAU_PSD from r = 4 on
+    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
+    cov = np.array([[ch, 0, sh, 0], [0, ch, 0, -sh], [sh, 0, ch, 0], [0, -sh, 0, ch]])
+    assert is_physical(GaussianState(cov))
+
+
 def test_is_physical_matches_family_inequality():
     # the physical region of the symmetric family is bounded by the
     # inequality lam^2 - c^2 - 1 >= 0 at c_x = c_p = c
@@ -277,10 +286,8 @@ def test_random_physical_state_is_physical():
 
 
 def test_random_physical_state_strong_mixing():
-    # large squeezing must not trip the symmetry check; the draws that
-    # is_physical still rejects are conditioned past float64
+    # large squeezing must trip neither the symmetry check nor the
+    # uncertainty check; 16 of these draws have cond(gamma) >= 1e12
     rng = np.random.default_rng(0)
     for i in range(300):
-        state = random_physical_state(rng, 2 + i % 3, mixing=2.0)
-        if np.linalg.cond(state.cov) < 1e12:
-            assert is_physical(state)
+        assert is_physical(random_physical_state(rng, 2 + i % 3, mixing=2.0))

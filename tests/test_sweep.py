@@ -11,7 +11,6 @@ from cvprivacy import SymmetricStateParams, analyze_state, cli, make_symmetric_s
 from cvprivacy.cli import SWEEP_COLUMNS, SweepSpec, render_sweep, sweep_rows
 from cvprivacy.exceptions import Unphysical
 from cvprivacy.states import _symmetric_stack
-from cvprivacy.symplectic import _spd_eigh
 
 SPACING_1E11 = float(np.spacing(1e11))
 
@@ -24,8 +23,8 @@ GRIDS = {
     "physical_edge": SweepSpec((2.0, 3.0, 2), (0.0, math.sqrt(3.0), 9)),
     # lam = c: singular covariances, rejected by the margin
     "singular": SweepSpec((1.0, 3.0, 5), (1.0, 3.0, 5)),
-    # c within a few ulps of lam = 1e11: the margin passes but some cells
-    # fail the positive-definiteness check
+    # c within a few ulps of lam = 1e11: the smallest eigenvalue lam - c of
+    # gamma lies below eigh's error eps |gamma| on cells that pass the margin
     "spd_check": SweepSpec(
         (1e11, 1e11 + 64 * SPACING_1E11, 33),
         (1e11 - 8 * SPACING_1E11, 1e11 + 56 * SPACING_1E11, 33),
@@ -82,8 +81,13 @@ def test_sweep_grids_reach_every_path():
     lam, c = grid_cells(GRIDS["singular"])
     assert np.any(lam == c)
     lam, c = grid_cells(GRIDS["spd_check"])
-    cov, _, ok = _symmetric_stack(lam, c, c)
-    assert not _spd_eigh(cov[ok])[2].all()
+    ok = _symmetric_stack(lam, c, c)[2]
+    assert ok.sum() == 654
+    # closed form on these cells: physical by the margin, nu of the partial
+    # transpose lam - c is a few ulps (NPPT), and k_B ~ 2 / (lam - c) dwarfs
+    # k_F ~ 2 (lam - c) (secure on both counts)
+    rows = list(sweep_rows(GRIDS["spd_check"]))
+    assert {rows[i][-7:] for i in np.flatnonzero(ok)} == {"1,1,1,1"}
     lam, c = grid_cells(GRIDS["unphysical"])
     assert not _symmetric_stack(lam, c, c)[2].any()
     assert set(line[-7:] for line in sweep_rows(GRIDS["unphysical"])) == {"0,0,0,0"}
