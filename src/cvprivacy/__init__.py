@@ -37,7 +37,6 @@ from .fock import (
     FockState,
     fock_moments,
     gaussian_to_fock,
-    minimal_discrimination_overlap,
     uhlmann_fidelity,
 )
 from .ops import (
@@ -47,21 +46,17 @@ from .ops import (
     apply_symplectic,
     attenuator_channel,
     beamsplitter_matrix,
-    channel_from_state,
     direct_sum,
     homodyne_x,
-    identity_channel,
     reorder_modes,
     rotation_matrix,
     squeeze_matrix,
     tensor,
 )
 from .security import (
-    AdExponents,
     ConditionalEveState,
     Purification,
     SecurityReport,
-    advantage_distillation_exponents,
     analyze_state,
     collective_condition,
     eps_b,
@@ -93,7 +88,6 @@ from .states import (
     GaussianDensity,
     GaussianState,
     SymmetricStateParams,
-    is_distillable,
     is_nppt,
     is_physical,
     is_separable,

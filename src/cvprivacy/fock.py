@@ -200,24 +200,3 @@ def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
     M *= np.sqrt(np.clip(w0, 0.0, None))[:, None]
     M *= np.sqrt(np.clip(w1, 0.0, None))
     return float(np.linalg.svd(M, compute_uv=False).sum())
-
-
-def minimal_discrimination_overlap(r0: FockState, r1: FockState, measurement_grid) -> float:
-    """Smallest Bhattacharyya overlap over a family of projective measurements.
-
-    Each grid entry is a unitary whose columns define the measurement
-    basis; the overlap for one measurement is sum_i sqrt(p0_i p1_i).  The
-    minimum over all measurements is bounded below by the Uhlmann
-    fidelity and reaches it for the optimizing family.
-    """
-    if r0.cutoff != r1.cutoff or r0.n_modes != r1.n_modes:
-        raise ValueError("states must share cutoff and mode count")
-    best = np.inf
-    for U in measurement_grid:
-        U = np.asarray(U)
-        p0 = np.clip(np.einsum("ij,jk,ki->i", U.conj().T, r0.rho, U).real, 0.0, None)
-        p1 = np.clip(np.einsum("ij,jk,ki->i", U.conj().T, r1.rho, U).real, 0.0, None)
-        best = min(best, float(np.sqrt(p0 * p1).sum()))
-    if not np.isfinite(best):
-        raise ValueError("measurement_grid must be nonempty")
-    return best

@@ -54,16 +54,6 @@ class GaussianChannel:
         object.__setattr__(self, "delta", delta)
 
 
-def channel_from_state(state: GaussianState, n_out: int) -> GaussianChannel:
-    """Interpret a Gaussian state's (cov, disp) as a channel definition.
-
-    The first ``n_out`` modes are the output block, the rest the dual-input
-    block.
-    """
-    n_in = state.n_modes - n_out
-    return GaussianChannel(state.cov, state.disp, n_in=n_in, n_out=n_out)
-
-
 def attenuator_channel(eta: float, epr_squeeze: float = 5.0) -> GaussianChannel:
     """Single-mode pure attenuator of transmissivity ``eta``.
 
@@ -83,11 +73,6 @@ def attenuator_channel(eta: float, epr_squeeze: float = 5.0) -> GaussianChannel:
     g[0, 2] = g[2, 0] = np.sqrt(eta) * c
     g[1, 3] = g[3, 1] = -np.sqrt(eta) * c
     return GaussianChannel(g, np.zeros(4), n_in=1, n_out=1)
-
-
-def identity_channel(epr_squeeze: float = 5.0) -> GaussianChannel:
-    """Single-mode channel converging to the identity map as squeezing grows."""
-    return attenuator_channel(1.0, epr_squeeze)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:

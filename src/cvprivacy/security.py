@@ -10,21 +10,17 @@ computed at the exponent level, so it is structurally independent of X0.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import Unphysical
 from .states import (
     BipartiteSplit,
     GaussianState,
-    SymmetricStateParams,
     _nppt_stack,
     _require_physical,
     _resolve_x_coords,
     is_nppt,
-    make_symmetric_state,
 )
 from .symplectic import _uncertainty_ok, _williamson_kernel, momentum_flip, symplectic_form
 
@@ -290,33 +286,6 @@ def general_key_condition(
     return bool(_individual_gap(*_checked_exponents(state, measured_x_coords, split)))
 
 
-class AdExponents(NamedTuple):
-    """Log-scale rates after N distillation rounds, per unit X0^2."""
-
-    bob: float
-    eve_individual: float
-    eve_collective: float
-
-
-def advantage_distillation_exponents(
-    state: GaussianState, measured_x_coords=None, n_rounds: int = 1
-) -> AdExponents:
-    """Exponents of the error/fidelity quantities after N-round distillation.
-
-    Bob's error odds shrink like exp(bob * X0^2) with bob = -N k_B; Eve's
-    state overlap shrinks like exp(eve_individual * X0^2) for individual
-    attacks and twice that rate for collective ones.
-    """
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-    k_b, k_f = _checked_exponents(state, measured_x_coords)
-    return AdExponents(
-        bob=-n_rounds * k_b,
-        eve_individual=-n_rounds * k_f,
-        eve_collective=-2.0 * n_rounds * k_f,
-    )
-
-
 def _binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
@@ -444,17 +413,27 @@ def _report_stack(covs: np.ndarray, split: BipartiteSplit) -> np.ndarray:
 def symmetric_collective_boundary(lam: float) -> float:
     """Collective-security boundary c*(lam) on the symmetric family c_x = c_p.
 
-    Root of the exponent gap k_B - 2 k_F in c, lying strictly between the
+    On c_x = c_p = c the exponents are k_B = 4c / (lam^2 - c^2) and
+    k_F = 2(lam - c) - 2 / (lam + c), so k_B = 2 k_F exactly where
+    (lam - c)^2 (lam + c) = lam.  The left side falls strictly between the
     entanglement boundary c = lam - 1 and the physical boundary
-    c = sqrt(lam^2 - 1).
+    c = sqrt(lam^2 - 1), so the cubic has one root there, and c* is that
+    closed-form root.  Writing c = lam - 1 + t, it solves
+    w (1 - 4t + 2t^2) = t (1 + t - t^2) / lam with w = (lam - 1) / lam,
+    whose terms neither overflow nor cancel for any finite lam > 1; Newton's
+    method from t = 0, the entanglement boundary, reaches rounding in at
+    most seven steps.
     """
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
-
-    def gap(c):
-        k_b, k_f = _checked_exponents(make_symmetric_state(SymmetricStateParams(lam, c, c)))
-        return k_b - 2.0 * k_f
-
-    lo = lam - 1.0 + 1e-9
-    hi = np.sqrt(lam ** 2 - 1.0) - 1e-9
-    return float(brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 1.0):
+        raise ValueError("lam must be finite and exceed 1")
+    w = (lam - 1.0) / lam
+    t = 0.0
+    for _ in range(50):
+        gap = w * (1.0 - 4.0 * t + 2.0 * t * t) - t * (1.0 + t - t * t) / lam
+        slope = -4.0 * w * (1.0 - t) - (1.0 + 2.0 * t - 3.0 * t * t) / lam
+        step = gap / slope
+        t -= step
+        if abs(step) <= 2.2e-16 * t:
+            break
+    return (lam - 1.0) + t

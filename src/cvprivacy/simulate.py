@@ -397,9 +397,6 @@ class SlopeFit:
     points: tuple
     eps_b_hat: float
 
-    def confidence_interval(self, z: float = 1.96):
-        return (self.slope - z * self.stderr, self.slope + z * self.stderr)
-
     def to_csv(self) -> str:
         """Rows of (N, eps_BN, standard error), one block length per line."""
         lines = ["n_rounds,eps_bn_hat,se"]

@@ -315,11 +315,6 @@ def is_separable(state: GaussianState, split: BipartiteSplit):
     return UNDECIDED
 
 
-def is_distillable(state: GaussianState, split: BipartiteSplit) -> bool:
-    """Entanglement distillability; for Gaussian states this equals NPPT."""
-    return is_nppt(state, split)
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianDensity:
     """Marginal probability density of a subset of quadratures.

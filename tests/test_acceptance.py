@@ -275,11 +275,18 @@ def test_criterion_6_x0_invariance():
 
 
 def test_criterion_7_collective_boundary():
-    """Bisection locates the collective boundary at lam = 2."""
+    """The closed-form root locates the collective boundary at lam = 2, and
+    the report's collective verdict flips across it."""
     c_star = symmetric_collective_boundary(2.0)
     assert 1.2 < c_star < 1.3
     residual = abs(c_star / (2.0 - c_star) - (4.0 - c_star ** 2 - 1.0))
     assert residual < 1e-10
+
+    for lam in (1.05, 1.5, 2.0, 3.0, 4.0, 50.0):
+        c = symmetric_collective_boundary(lam)
+        below = analyze_state(symmetric_state(lam, c * (1 - 1e-6), c * (1 - 1e-6)))
+        above = analyze_state(symmetric_state(lam, c * (1 + 1e-6), c * (1 + 1e-6)))
+        assert not below.collective_secure and above.collective_secure
 
     rep_12 = analyze_state(symmetric_state(2.0, 1.2, 1.2))
     rep_13 = analyze_state(symmetric_state(2.0, 1.3, 1.3))
@@ -287,5 +294,6 @@ def test_criterion_7_collective_boundary():
     assert rep_13.collective_secure
     print(
         f"\nCRITERION 7 PASS: c* = {c_star:.6f} in (1.2, 1.3), "
-        f"residual {residual:.2e} < 1e-10, verdicts at c=1.2/1.3 as required"
+        f"residual {residual:.2e} < 1e-10, verdicts at c=1.2/1.3 as required, "
+        f"collective verdict flips within 1e-6 of c* at six lam"
     )

@@ -81,6 +81,16 @@ def test_analyze_unphysical_exit_code(tmp_path, capsys):
     assert "unphysical" in err.lower()
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cvprivacy.__file__).resolve().parents[1]))
+    code = "import sys, cvprivacy, cvprivacy.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_analyze_non_finite_state_exits_1_without_traceback(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"n_modes": 1, "cov": [[1, 0], [0, NaN]], "disp": [0, 0]}')

@@ -10,10 +10,8 @@ from cvprivacy import (
     apply_symplectic,
     attenuator_channel,
     beamsplitter_matrix,
-    channel_from_state,
     direct_sum,
     homodyne_x,
-    identity_channel,
     is_physical,
     purity,
     quadrature_density,
@@ -70,7 +68,7 @@ def test_apply_symplectic_preserves_symplectic_spectrum():
 
 
 def test_identity_channel_fixes_vacuum():
-    out = apply_channel(identity_channel(), vacuum_state(1))
+    out = apply_channel(attenuator_channel(1.0), vacuum_state(1))
     np.testing.assert_allclose(out.cov, np.eye(2), atol=1e-9)
     np.testing.assert_allclose(out.disp, np.zeros(2), atol=1e-12)
 
@@ -80,7 +78,7 @@ def test_identity_channel_converges_to_identity_map():
     # with S = I on a generic mixed state
     state = single_mode_thermal(1.8)
     reference = apply_symplectic(np.eye(2), None, state)
-    out = apply_channel(identity_channel(epr_squeeze=9.0), state)
+    out = apply_channel(attenuator_channel(1.0, epr_squeeze=9.0), state)
     np.testing.assert_allclose(out.cov, reference.cov, atol=1e-6)
 
 
@@ -101,13 +99,13 @@ def test_channel_rejects_unphysical_cm():
 
 def test_channel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        apply_channel(identity_channel(), vacuum_state(2))
+        apply_channel(attenuator_channel(1.0), vacuum_state(2))
 
 
 def test_random_channel_output_is_physical():
     for _ in range(500):
         chan_state = random_physical_state(RNG, 2, nu_max=2.0, mixing=0.3)
-        channel = channel_from_state(chan_state, n_out=1)
+        channel = GaussianChannel(chan_state.cov, chan_state.disp, n_in=1, n_out=1)
         state = random_physical_state(RNG, 1)
         assert is_physical(apply_channel(channel, state))
 

@@ -2,11 +2,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import cvprivacy
 from cvprivacy import (
     BipartiteSplit,
-    advantage_distillation_exponents,
     analyze_state,
     collective_condition,
     eps_b,
@@ -31,6 +31,7 @@ from cvprivacy import (
     two_mode_squeezed,
     vacuum_state,
 )
+from cvprivacy.security import _exponents
 from families import pt_boundary_margin, random_aligned_state, random_protocol_state
 
 RNG = np.random.default_rng(777)
@@ -231,21 +232,9 @@ def test_general_key_condition_matches_nppt_on_protocol_family():
 # -- exponent bundles and the rate proxy ----------------------------------------
 
 
-def test_ad_exponents_scale_linearly():
-    state = symmetric_state(2.0, 1.2, 1.2)
-    one = advantage_distillation_exponents(state, n_rounds=1)
-    five = advantage_distillation_exponents(state, n_rounds=5)
-    assert five.bob == pytest.approx(5 * one.bob)
-    assert five.eve_individual == pytest.approx(5 * one.eve_individual)
-    assert five.eve_collective == pytest.approx(2 * five.eve_individual)
-    assert five.bob / five.eve_individual == pytest.approx(one.bob / one.eve_individual)
-
-
-def test_ad_exponents_pure_product_state():
+def test_fidelity_exponent_vanishes_on_pure_product_state():
     state = tensor(vacuum_state(1), vacuum_state(1))
-    assert advantage_distillation_exponents(state, n_rounds=3).eve_individual == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert eve_fidelity_exponent(state) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_key_rate_estimate_signs():
@@ -356,3 +345,50 @@ def test_symmetric_collective_boundary_location():
     assert 1.2 < c_star < 1.3
     residual = abs(c_star / (2.0 - c_star) - (4.0 - c_star ** 2 - 1.0))
     assert residual < 1e-10
+
+
+def _exponent_gap_root(lam):
+    """Bracketed root of the library's own k_B - 2 k_F on c_x = c_p = c."""
+
+    def gap(c):
+        k_b, k_f = _exponents(symmetric_state(lam, c, c), (0, 2))
+        return k_b - 2.0 * k_f
+
+    lo = lam - 1.0 + 1e-9
+    hi = np.sqrt(lam ** 2 - 1.0) - 1e-9
+    return brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_collective_boundary_matches_exponent_root():
+    lams = np.linspace(1.01, 50.0, 400)
+    worst = max(
+        abs(symmetric_collective_boundary(lam) / _exponent_gap_root(lam) - 1.0) for lam in lams
+    )
+    assert worst < 1e-11
+
+
+def test_entanglement_curve_equalizes_exponents():
+    # k_B = k_F on c = lam - 1: the entanglement curve is the individual bound
+    for lam in np.linspace(1.1, 10.0, 50):
+        k_b, k_f = _exponents(symmetric_state(lam, lam - 1.0, lam - 1.0), (0, 2))
+        assert abs(k_b - k_f) <= 1e-9 * k_b
+
+
+@pytest.mark.parametrize("lam", [1.0 + 1e-12, 1.0 + 1e-9, 1e8, 1e10, 1e160])
+def test_collective_boundary_at_extreme_lam(lam):
+    c_star = symmetric_collective_boundary(lam)
+    assert np.isfinite(c_star)
+    # sqrt(lam^2 - 1) without forming lam^2
+    assert lam - 1.0 <= c_star <= np.sqrt(lam - 1.0) * np.sqrt(lam + 1.0)
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e6])
+def test_collective_boundary_large_lam_asymptote(lam):
+    # (lam - c)^2 (lam + c) = lam gives lam - c -> 1/sqrt(2)
+    assert abs((lam - symmetric_collective_boundary(lam)) - 1.0 / np.sqrt(2.0)) < 2.0 / lam
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 1.0, 0.5, -3.0])
+def test_collective_boundary_rejects_invalid_lam(lam):
+    with pytest.raises(ValueError):
+        symmetric_collective_boundary(lam)

@@ -10,7 +10,6 @@ from cvprivacy import (
     StateSchemaError,
     SymmetricStateParams,
     Unphysical,
-    is_distillable,
     is_nppt,
     is_physical,
     is_separable,
@@ -205,12 +204,6 @@ def test_separable_one_by_n_split_uses_ppt():
 def test_undecided_refuses_boolean_coercion():
     with pytest.raises(TypeError):
         bool(UNDECIDED)
-
-
-def test_is_distillable_mirrors_nppt():
-    for lam, c in ((2.0, 1.2), (2.0, 0.9), (3.0, 2.4)):
-        state = symmetric_state(lam, c, c)
-        assert is_distillable(state, SPLIT_11) == is_nppt(state, SPLIT_11)
 
 
 def test_quadrature_density_vacuum():
