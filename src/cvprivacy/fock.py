@@ -1,12 +1,14 @@
 """Truncated Fock-space oracle for validating Gaussian closed forms.
 
-Builds explicit density matrices for one- and two-mode Gaussian states and
-computes overlaps numerically, providing a route to fidelity values that
-never touches the covariance-matrix formulas it certifies.  Conventions:
+Represents one- and two-mode Gaussian states in the truncated number basis,
+by the eigenpairs of their density matrices, and computes overlaps
+numerically, providing a route to fidelity values that never touches the
+covariance-matrix formulas it certifies.  Conventions:
 X = (a + a^dag)/sqrt(2), P = i(a^dag - a)/sqrt(2), so the vacuum
 covariance is the identity and <X^2>_vac = 1/2.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -24,30 +26,57 @@ DEFAULT_CUTOFF = {1: 40, 2: 20}
 # inverse temperature stays finite for pure states.
 _NU_FLOOR = 1e-14
 
+# From this many levels on, H is diagonalised by MRRR (LAPACK heevr), below
+# it by divide-and-conquer (numpy's heevd).  On the Fock Hamiltonians (one
+# BLAS thread of a 2-core Xeon, OpenBLAS) the two cross near 300 levels; at
+# 400 (two modes, cutoff 20) MRRR takes 58 ms against 69 ms, at 60 (one
+# mode) 0.65 ms against 0.45 ms.
+_MRRR_MIN_DIM = 300
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class FockState:
-    """Density matrix in the truncated number basis.
+    """A state in the truncated number basis, held as its eigenpairs.
 
-    ``tail_mass`` estimates the probability weight lost to truncation,
-    from the exact partition function of the generating quadratic form.
     ``eigen`` is the pair (w, V) of weights and a unitary with
-    rho = V diag(w) V^dag.  ``gaussian_to_fock`` fills it from the
-    eigendecomposition of the Hamiltonian it already computes; a state
-    built from ``rho`` alone gets it from one Hermitian eigendecomposition.
+    rho = V diag(w) V^dag; it is the state's data.  ``gaussian_to_fock``
+    takes it from the eigendecomposition of the Hamiltonian it already
+    computes; a state built from ``rho`` alone gets it from one Hermitian
+    eigendecomposition.  ``rho`` itself is built from (w, V), made exactly
+    Hermitian, on its first read and cached (a state built from ``rho``
+    keeps that matrix).  ``tail_mass`` estimates the probability weight
+    lost to truncation, from the exact partition function of the
+    generating quadratic form.
     """
 
-    rho: np.ndarray
     n_modes: int
     cutoff: int
     tail_mass: float
-    eigen: tuple = None
+    eigen: tuple
 
-    def __post_init__(self):
-        if self.eigen is None:
-            if not np.isfinite(self.rho).all():
+    def __init__(self, rho=None, *, n_modes, cutoff, tail_mass, eigen=None):
+        if eigen is None:
+            if rho is None:
+                raise ValueError("a FockState needs rho or its eigenpairs")
+            if not np.isfinite(rho).all():
                 raise ValueError("density matrix has a non-finite entry")
-            object.__setattr__(self, "eigen", np.linalg.eigh(self.rho))
+            eigen = np.linalg.eigh(rho)
+        if rho is not None:
+            # seeds the cache of the ``rho`` property below
+            object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "n_modes", n_modes)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "tail_mass", tail_mass)
+        object.__setattr__(self, "eigen", eigen)
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """Density matrix V diag(w) V^dag, built on first read."""
+        w, V = self.eigen
+        rho = (V * w) @ V.conj().T
+        rho += rho.conj().T
+        rho *= 0.5
+        return rho
 
 
 def quadrature_operators(n_modes: int, cutoff: int):
@@ -110,7 +139,7 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     cutoff and then sliced, so its matrix elements are exact on the kept
     block, and a product across two modes is the Kronecker product of the
     sliced single-mode factors.  The eigendecomposition of the kept block
-    gives both rho and the ``eigen`` pair the fidelity uses.
+    is the returned state's data; its density matrix is built only if read.
 
     Raises
     ------
@@ -121,6 +150,8 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
         If the covariance matrix is not physical.
     TailTooHeavy
         If the truncation leaks more than TAU_TAIL of probability mass.
+    NumericalFailure
+        If the Hermitian eigensolver fails.
     """
     if state.n_modes not in (1, 2):
         raise ValueError("the Fock oracle supports one- and two-mode states only")
@@ -142,22 +173,27 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     H *= 0.5
 
     ground_energy = 0.5 * float(beta.sum())
-    energies, V = np.linalg.eigh(H)
+    try:
+        if H.shape[0] >= _MRRR_MIN_DIM:
+            from scipy.linalg import eigh
+
+            energies, V = eigh(H, driver="evr", overwrite_a=True, check_finite=False)
+        else:
+            energies, V = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from None
     del H
     weights = np.exp(-(energies - ground_energy))
-    rho = (V * weights) @ V.conj().T
     z_exact = float(np.prod(1.0 / (1.0 - np.exp(-beta))))
-    trace = float(np.trace(rho).real)
-    tail = max(0.0, 1.0 - trace / z_exact)
+    # sum(weights) is the exact trace of V diag(weights) V^dag
+    total = float(weights.sum())
+    tail = max(0.0, 1.0 - total / z_exact)
     if tail >= TAU_TAIL:
         raise TailTooHeavy(
             f"tail mass {tail:.3e} at cutoff {cutoff}; increase the cutoff"
         )
-    rho /= trace
-    rho += rho.conj().T
-    rho *= 0.5
-    weights /= trace
-    return FockState(rho=rho, n_modes=n, cutoff=cutoff, tail_mass=tail, eigen=(weights, V))
+    weights /= total
+    return FockState(n_modes=n, cutoff=cutoff, tail_mass=tail, eigen=(weights, V))
 
 
 def fock_moments(fock: FockState):
@@ -187,8 +223,16 @@ def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
     """tr|sqrt(r0) sqrt(r1)|, from the stored eigendecompositions.
 
     With rho_i = V_i diag(w_i) V_i^dag, the fidelity is the sum of the
-    singular values of diag(sqrt(w0)) V0^dag V1 diag(sqrt(w1)): one matrix
-    product and one SVD without vectors, and no square root of a matrix.
+    singular values of M = diag(sqrt(w0)) V0^dag V1 diag(sqrt(w1)): one
+    matrix product and one SVD without vectors, and no square root of a
+    matrix.  Only the rows and columns whose weight exceeds eps^2 (eps the
+    float64 machine epsilon) are formed.  Dropping rows and columns can
+    only lower the nuclear norm, and each dropped row or column has norm at
+    most its sqrt(w) <= eps, so with n weights per state
+
+        0 <= F_full - F <= sum_dropped sqrt(w0) + sum_dropped sqrt(w1) <= 2 n eps,
+
+    the size of the SVD's own rounding.
     """
     if r0.cutoff != r1.cutoff or r0.n_modes != r1.n_modes:
         raise ValueError("states must share cutoff and mode count")
@@ -196,7 +240,9 @@ def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
     for w in (w0, w1):
         if w.min() < -1e-10:
             raise NumericalFailure(f"negative eigenvalue {w.min():.3e} in density matrix")
-    M = V0.conj().T @ V1
-    M *= np.sqrt(np.clip(w0, 0.0, None))[:, None]
-    M *= np.sqrt(np.clip(w1, 0.0, None))
+    floor = np.finfo(float).eps ** 2
+    k0, k1 = w0 > floor, w1 > floor
+    M = V0[:, k0].conj().T @ V1[:, k1]
+    M *= np.sqrt(w0[k0])[:, None]
+    M *= np.sqrt(w1[k1])
     return float(np.linalg.svd(M, compute_uv=False).sum())

@@ -8,7 +8,6 @@ conditioning on X quadratures, and the tensor/reordering plumbing.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .exceptions import DimensionMismatch, NotSymplectic, SingularKernel, Unphysical
 from .states import GaussianState, quadrature_density
@@ -205,7 +204,7 @@ def homodyne_x(
 def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
     """Tensor product: direct sum of covariances, concatenated displacements."""
     return GaussianState(
-        block_diag(s1.cov, s2.cov), np.concatenate([s1.disp, s2.disp])
+        direct_sum(s1.cov, s2.cov), np.concatenate([s1.disp, s2.disp])
     )
 
 
@@ -251,4 +250,11 @@ def beamsplitter_matrix(theta: float) -> np.ndarray:
 
 def direct_sum(*blocks: np.ndarray) -> np.ndarray:
     """Direct sum of symplectic blocks acting on consecutive modes."""
-    return block_diag(*blocks)
+    blocks = [np.atleast_2d(b) for b in blocks]
+    rows, cols = np.sum([b.shape for b in blocks], axis=0)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, xlog1py, xlogy
 
 from .exceptions import InsufficientStatistics, NoAcceptedSamples
 from .states import GaussianDensity, GaussianState, _resolve_x_coords, quadrature_density
@@ -155,8 +154,12 @@ class SimulationResult:
 
 
 def _stream(seed: int, lane: int, index: int) -> np.random.Generator:
-    """Deterministic Philox stream for (seed, lane, index)."""
-    return np.random.Generator(np.random.Philox(key=seed + (lane << 64)).jumped(index))
+    """Deterministic Philox stream for (seed, lane, index).
+
+    The state of Philox(key=seed + (lane << 64)).jumped(index), set
+    directly: a jump advances the 256-bit counter by index << 128.
+    """
+    return np.random.Generator(np.random.Philox(key=seed + (lane << 64), counter=index << 128))
 
 
 @functools.cache
@@ -179,6 +182,8 @@ def _box_probabilities(density: GaussianDensity, x0: float, delta: float) -> np.
     standardized by L22 and beta = L21 / L22.  Each integral is summed over
     pieces of a fixed Gauss-Legendre rule (see _KINK_HALF_WIDTH).
     """
+    from scipy.special import ndtr
+
     (l11, _), (l21, l22) = np.linalg.cholesky(density.cov)
     beta = l21 / l22
     starts, ends, edges = [], [], []
@@ -206,8 +211,10 @@ def _box_probabilities(density: GaussianDensity, x0: float, delta: float) -> np.
     lo = b_lo[:, None] - beta * z
     hi = b_hi[:, None] - beta * z
     # difference of upper tails when both edges sit above the mean, so a
-    # box far in Bob's upper tail keeps its relative precision
-    bob = np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    # box far in Bob's upper tail keeps its relative precision:
+    # s = -1 gives ndtr(-lo) - ndtr(-hi), s = 1 gives ndtr(hi) - ndtr(lo)
+    s = np.where(lo > 0.0, -1.0, 1.0)
+    bob = s * (ndtr(s * hi) - ndtr(s * lo))
     pieces = np.sum(half * w * np.exp(-0.5 * z * z) * bob, axis=1)
     box = np.repeat(np.arange(len(_BOX_SIGNS)), n_pieces)
     return np.bincount(box, pieces, minlength=len(_BOX_SIGNS)) / math.sqrt(2.0 * math.pi)
@@ -221,6 +228,8 @@ def _block_outcomes(eps: float, n_rounds: int, n_blocks: int, rng: np.random.Gen
     Bin(n_rounds, eps) pmf.  The pmf comes from its logarithm, so no
     power of eps underflows before the product does.
     """
+    from scipy.special import gammaln, xlog1py, xlogy
+
     j = np.arange(n_rounds + 1)
     log_pmf = (
         gammaln(n_rounds + 1.0)

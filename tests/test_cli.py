@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -81,14 +82,22 @@ def test_analyze_unphysical_exit_code(tmp_path, capsys):
     assert "unphysical" in err.lower()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def test_import_and_analyze_leave_scipy_unloaded(tmp_path):
+    path = write_state(tmp_path, "s.json", symmetric_state(2.0, 1.3, 1.3))
     env = dict(os.environ, PYTHONPATH=str(Path(cvprivacy.__file__).resolve().parents[1]))
-    code = "import sys, cvprivacy, cvprivacy.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import contextlib, io, sys, cvprivacy, cvprivacy.cli\n"
+        "scipy_loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "print(scipy_loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cvprivacy.cli.main(['analyze', '--state', {path!r}])\n"
+        "print(code, scipy_loaded())\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
 def test_analyze_non_finite_state_exits_1_without_traceback(tmp_path):
@@ -188,6 +197,23 @@ def test_simulate_slope_csv_seeded_and_equal_to_library(tmp_path, capsys):
     cfg = ProtocolConfig(x0=1.0, delta=0.05, n_rounds=3, n_samples=400_000, seed=9)
     fit = slope_check(sample_postselected_bits(state, cfg), cfg, range(1, 4))
     assert texts[0].decode("utf-8") == fit.to_csv()
+
+
+def test_seeded_simulate_bytes_pinned(tmp_path, capsys):
+    # the README's simulate example; pinned like the sweep CSV in test_sweep.py
+    path = write_state(tmp_path, "s.json", symmetric_state(2.0, 1.2, 1.2))
+    csv = tmp_path / "slope.csv"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--state", path, "--split", "1,1", "--x0", "1", "--delta", "0.01",
+        "--samples", "10000000", "--seed", "1", "--n-rounds", "4", "--slope-csv", str(csv),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6bf45b3b76acf87313b594b34e303042f8041ac08f6bbcd65305194600824240"
+    )
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "94a555590c36ea266af8c467368e7972ecb2373a8827f3bdc542c13420182406"
+    )
 
 
 def test_simulate_split_measures_what_analyze_analyzes(tmp_path, capsys):

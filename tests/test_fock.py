@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cvprivacy import (
     FockState,
@@ -330,6 +331,63 @@ def test_fidelity_from_bare_rho_matches_stored_eigenbasis(two_mode_pairs):
 
     for plus, minus, _ in two_mode_pairs:
         assert abs(uhlmann_fidelity(bare(plus), bare(minus)) - uhlmann_fidelity(plus, minus)) <= 1e-12
+
+
+def test_truncated_fidelity_within_bound_of_full_svd(two_mode_pairs):
+    eps = np.finfo(float).eps
+    for plus, minus, _ in two_mode_pairs:
+        for a, b in ((plus, minus), (minus, plus), (plus, plus)):
+            (w0, V0), (w1, V1) = a.eigen, b.eigen
+            # some weights are dropped, or the comparison shows nothing
+            assert (w0 <= eps**2).any() and (w1 <= eps**2).any()
+            M = V0.conj().T @ V1
+            M *= np.sqrt(np.clip(w0, 0.0, None))[:, None]
+            M *= np.sqrt(np.clip(w1, 0.0, None))
+            full = float(np.linalg.svd(M, compute_uv=False).sum())
+            assert abs(full - uhlmann_fidelity(a, b)) <= 2 * len(w0) * eps
+
+
+def test_density_matrix_built_on_first_read():
+    one_mode = GaussianState(random_mild_cov(RNG), [0.2, 0.1])
+    two_mode = GaussianState(bloch_messiah_cov(RNG, 2, 0.12, 1.05, 1.35), [0.1, 0.0, -0.2, 0.1])
+    for fk in (gaussian_to_fock(one_mode, 40), gaussian_to_fock(two_mode, 20)):
+        assert "rho" not in vars(fk)
+        uhlmann_fidelity(fk, fk)
+        assert "rho" not in vars(fk)
+        rho = fk.rho
+        assert fk.rho is rho
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho).real - 1.0) <= 1e-14
+
+
+def test_fock_state_from_rho_keeps_that_matrix():
+    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    fk = FockState(rho=rho, n_modes=1, cutoff=4, tail_mass=0.0)
+    assert fk.rho is rho
+    np.testing.assert_allclose(np.sort(fk.eigen[0]), [0.0, 0.2, 0.3, 0.5], atol=1e-15)
+    with pytest.raises(ValueError, match="rho or its eigenpairs"):
+        FockState(n_modes=1, cutoff=4, tail_mass=0.0)
+
+
+@pytest.mark.parametrize(
+    "state, cutoff, solver",
+    [
+        (single_mode_thermal(1.5), 40, (np.linalg, "eigh")),
+        (two_mode_squeezed(0.2), 20, (scipy.linalg, "eigh")),
+    ],
+)
+def test_eigensolver_failure_raises_numerical_failure(monkeypatch, state, cutoff, solver):
+    real = getattr(*solver)
+
+    def fail(a, *args, **kwargs):
+        # the Williamson decomposition runs its own small eigh first
+        if a.shape[-1] == cutoff ** state.n_modes:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(*solver, fail)
+    with pytest.raises(NumericalFailure, match="eigensolver"):
+        gaussian_to_fock(state, cutoff)
 
 
 @pytest.mark.parametrize("cutoff", [0, -3, 2.5, "20", True])

@@ -302,6 +302,19 @@ def test_aggregate_block_counts_match_multinomial(eps, n_rounds):
     assert np.array_equal(again, counts)
 
 
+def test_stream_state_equals_jumped_philox():
+    for seed in (0, 7, 12345, 2**31 - 2, 2**63 + 5):
+        for lane in (0, 1):
+            for index in range(34):
+                got = _stream(seed, lane, index).bit_generator.state
+                want = np.random.Philox(key=seed + (lane << 64)).jumped(index).state
+                assert np.array_equal(got["state"]["counter"], want["state"]["counter"])
+                assert np.array_equal(got["state"]["key"], want["state"]["key"])
+                assert np.array_equal(got["buffer"], want["buffer"])
+                for field in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+                    assert got[field] == want[field]
+
+
 def test_aggregate_block_counts_at_the_block_cap():
     counts = _block_outcomes(0.13, 8, 2_000_000_000, _stream(1, 1, 8))
     assert np.all(counts >= 0) and counts.sum() == 2_000_000_000
