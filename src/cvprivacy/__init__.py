@@ -3,12 +3,12 @@
 The package is organized around a small covariance-matrix data model:
 
 - :mod:`cvprivacy.symplectic` — symplectic forms, the uncertainty check,
-  spectra and Williamson decompositions from one Hermitian eigenproblem,
-  block/pseudo inverses.
+  spectra and Williamson decompositions from one Hermitian eigenproblem.
 - :mod:`cvprivacy.states` — the GaussianState model, physicality, purity,
   partial transposition, PPT/separability verdicts, quadrature densities.
 - :mod:`cvprivacy.ops` — symplectic unitaries, general Gaussian CP maps,
-  homodyne conditioning, tensor products.
+  homodyne conditioning, tensor products; channel application, homodyne
+  conditioning and Eve's conditional states share one conditioning step.
 - :mod:`cvprivacy.security` — purifications, eavesdropper conditional
   states, fidelity and error exponents, security conditions, reports.
 - :mod:`cvprivacy.simulate` — Monte Carlo post-selection and advantage
@@ -27,7 +27,6 @@ from .exceptions import (
     NotPositiveDefinite,
     NotSymplectic,
     NumericalFailure,
-    SingularBlock,
     SingularKernel,
     StateSchemaError,
     TailTooHeavy,
@@ -104,15 +103,12 @@ from .states import (
 )
 from .symplectic import (
     WilliamsonDecomposition,
-    block_inverse,
     is_symplectic,
     momentum_flip,
-    pseudo_inverse,
     psd_sqrt_of_similar,
     symplectic_eigenvalues,
     symplectic_form,
     williamson,
-    x_projector,
 )
 
 __version__ = "0.1.0"

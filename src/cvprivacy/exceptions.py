@@ -9,10 +9,6 @@ class NotPositiveDefinite(CVPrivacyError):
     """Matrix expected to be positive definite is not."""
 
 
-class SingularBlock(CVPrivacyError):
-    """A block or Schur complement required to be invertible is singular."""
-
-
 class ComplexSpectrum(CVPrivacyError):
     """Matrix square root requested for a matrix with complex spectrum."""
 

@@ -10,14 +10,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotSymplectic, SingularKernel, Unphysical
-from .states import GaussianState, quadrature_density
-from .symplectic import (
-    TAU_RANK,
-    _uncertainty_ok,
-    is_symplectic,
-    pseudo_inverse,
-    x_projector,
-)
+from .states import GaussianState, _require_physical, quadrature_density
+from .symplectic import _uncertainty_ok, is_symplectic
+
+# Largest relative condition number 1/TAU_RANK accepted for the kernel
+# G2~ + gamma of a channel application.  A channel and a state from outside
+# input can make it nearly singular, and a solve reports only exact
+# singularity.
+TAU_RANK = 1e-10
+
+
+def _condition(B, C, K, v):
+    """Gaussian conditioning: (B - C^T K^{-1} C, C^T K^{-1} v).
+
+    K is the covariance of the conditioned coordinates, C their cross block
+    with the kept ones, B the kept block and v the observed offset.  Both
+    terms come from one solve of K against [C | v].  Homodyne conditioning,
+    channel application and ``security.eve_conditional_state`` all use it.
+    """
+    solved = np.linalg.solve(K, np.column_stack([C, v]))
+    return B - C.T @ solved[:, :-1], C.T @ solved[:, -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +108,12 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     flip = np.concatenate([np.ones(2 * n_out), np.tile([1.0, -1.0], channel.n_in)])
     g_tilde = channel.gamma * np.outer(flip, flip)
     k = 2 * n_out
-    G1 = g_tilde[:k, :k]
     G12 = g_tilde[:k, k:]
-    G2 = g_tilde[k:, k:]
-    kernel = G2 + state.cov
+    kernel = g_tilde[k:, k:] + state.cov
     if np.linalg.cond(kernel) > 1.0 / TAU_RANK:
         raise SingularKernel("G2~ + gamma is singular within the rank tolerance")
-    solved_cov = np.linalg.solve(kernel, G12.T)
-    cov = G1 - G12 @ solved_cov
-    cov = 0.5 * (cov + cov.T)
-    d1 = channel.delta[:k]
-    d2 = channel.delta[k:]
-    disp = d1 + G12 @ np.linalg.solve(kernel, d2 + state.disp)
-    return GaussianState(cov, disp)
+    cov, shift = _condition(g_tilde[:k, :k], G12.T, kernel, channel.delta[k:] + state.disp)
+    return GaussianState(0.5 * (cov + cov.T), channel.delta[:k] + shift)
 
 
 def apply_symplectic(S: np.ndarray, T: np.ndarray, state: GaussianState) -> GaussianState:
@@ -139,13 +144,13 @@ def homodyne_x(
 ) -> HomodyneOutcome:
     """Measure the X quadrature of the given modes, conditioning the rest.
 
-    The post-measurement covariance is B' = B - C^T (X A X)^+ C with A the
-    measured block, C the cross block and X the projector onto measured X
-    coordinates; it does not depend on the measured values.  The
-    conditional displacement is d_B + C^T (X A X)^+ d_A with d_A holding
-    the measured results relative to the input mean (the zero-mean update
-    extended by shifting coordinates to the mean and adding the
-    unconditional mean back).
+    The post-measurement covariance is B' = B - C^T K^{-1} C with K the
+    covariance of the measured X coordinates and C their cross block with
+    the remaining modes; it does not depend on the measured values.  The
+    conditional displacement is d_B + C^T K^{-1} (results - d_x), d_x the
+    input mean of the measured X coordinates.  The measured momenta do not
+    enter.  K is a principal block of a physical covariance matrix, so it
+    is positive definite.
 
     Parameters
     ----------
@@ -161,7 +166,13 @@ def homodyne_x(
     Returns
     -------
     HomodyneOutcome
+
+    Raises
+    ------
+    Unphysical
+        If the state violates the uncertainty bound.
     """
+    _require_physical(state)
     measured = list(measured_modes)
     if not measured:
         raise ValueError("measured_modes must be nonempty")
@@ -173,13 +184,8 @@ def homodyne_x(
     if not remaining:
         raise ValueError("at least one mode must remain unmeasured")
 
-    meas_ix = np.array([2 * m + q for m in measured for q in (0, 1)])
-    rest_ix = np.array([2 * m + q for m in remaining for q in (0, 1)])
-    A = state.cov[np.ix_(meas_ix, meas_ix)]
-    C = state.cov[np.ix_(meas_ix, rest_ix)]
-    B = state.cov[np.ix_(rest_ix, rest_ix)]
-
     x_coords = [2 * m for m in measured]
+    rest_ix = np.array([2 * m + q for m in remaining for q in (0, 1)])
     if results is None:
         if rng is None:
             raise ValueError("rng is required when sampling measurement results")
@@ -188,16 +194,15 @@ def homodyne_x(
     if results.shape[0] != len(measured):
         raise ValueError(f"expected {len(measured)} results, got {results.shape[0]}")
 
-    n_meas = len(measured)
-    proj = x_projector(n_meas)
-    kernel = pseudo_inverse(proj @ A @ proj)
-    d_A = np.zeros(2 * n_meas)
-    d_A[0::2] = results - state.disp[x_coords]
-    post_cov = B - C.T @ kernel @ C
-    post_disp = state.disp[rest_ix] + C.T @ kernel @ d_A
+    post_cov, shift = _condition(
+        state.cov[np.ix_(rest_ix, rest_ix)],
+        state.cov[np.ix_(x_coords, rest_ix)],
+        state.cov[np.ix_(x_coords, x_coords)],
+        results - state.disp[x_coords],
+    )
     return HomodyneOutcome(
         measured_values=results,
-        post_state=GaussianState(0.5 * (post_cov + post_cov.T), post_disp),
+        post_state=GaussianState(0.5 * (post_cov + post_cov.T), state.disp[rest_ix] + shift),
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import Unphysical
+from .ops import _condition
 from .states import (
     BipartiteSplit,
     GaussianState,
@@ -120,27 +121,21 @@ def eve_conditional_state(
 ) -> ConditionalEveState:
     """Condition Eve on both measured X quadratures reading +x0.
 
-    Applies the homodyne update to the pure joint state: Eve's covariance
-    loses F^T beta F and her displacement becomes F^T beta v, where beta
-    embeds the inverse of the measured-X covariance block and v carries x0
-    at the measured coordinates.
+    Applies the homodyne update to the pure joint state: with gamma_x the
+    measured-X block of the system covariance and F_x the measured rows of
+    the coupling F, Eve's covariance loses F_x^T gamma_x^{-1} F_x and her
+    displacement becomes F_x^T gamma_x^{-1} (x0, x0).
     """
     if x0 <= 0:
         raise ValueError("x0 must be positive")
-    n = purification.n_system
-    sys_cov = purification.system_cov
-    ix = np.asarray(_resolve_x_coords(n, coords=measured_x_coords))
-    gamma_x = sys_cov[np.ix_(ix, ix)]
-    beta = np.zeros((2 * n, 2 * n))
-    beta[np.ix_(ix, ix)] = np.linalg.inv(gamma_x)
-    v = np.zeros(2 * n)
-    v[ix] = x0
-    F = purification.coupling
-    cov = purification.eve_cov - F.T @ beta @ F
-    return ConditionalEveState(
-        cov=0.5 * (cov + cov.T),
-        disp_plus=F.T @ beta @ v,
+    ix = np.asarray(_resolve_x_coords(purification.n_system, coords=measured_x_coords))
+    cov, disp = _condition(
+        purification.eve_cov,
+        purification.coupling[ix],
+        purification.system_cov[np.ix_(ix, ix)],
+        np.full(len(ix), float(x0)),
     )
+    return ConditionalEveState(cov=0.5 * (cov + cov.T), disp_plus=disp)
 
 
 def gaussian_fidelity_equal_cov(
@@ -231,9 +226,16 @@ def eps_ratio(state: GaussianState, x0: float, measured_x_coords=None) -> float:
 
 
 def eps_b(state: GaussianState, x0: float, measured_x_coords=None) -> float:
-    """Bob's error probability, recovered from the odds ratio."""
-    r = eps_ratio(state, x0, measured_x_coords)
-    return r / (1.0 + r)
+    """Bob's error probability 1 / (1 + exp(k_B X0^2))."""
+    return _error_probability(x0 ** 2 * eps_ratio_exponent(state, measured_x_coords))
+
+
+def _error_probability(a: float) -> float:
+    """1 / (1 + e^a), with no exp of a positive argument, so no overflow."""
+    if a >= 0.0:
+        r = math.exp(-a)
+        return r / (1.0 + r)
+    return 1.0 / (1.0 + math.exp(a))
 
 
 def eve_fidelity_exponent(state: GaussianState, measured_x_coords=None) -> float:
@@ -308,9 +310,9 @@ def key_rate_estimate(
 def _key_rate(k_b: float, k_f: float, n_rounds: int, x0: float) -> float:
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    r_n = math.exp(-n_rounds * k_b * x0 ** 2)
-    eps_bn = r_n / (1.0 + r_n)
-    overlap_n = math.exp(-n_rounds * k_f * x0 ** 2)
+    eps_bn = _error_probability(n_rounds * k_b * x0 ** 2)
+    # an overlap above 1 (k_F < 0) has the entropy of an overlap of 1: none
+    overlap_n = math.exp(-max(n_rounds * k_f * x0 ** 2, 0.0))
     eve_entropy = _binary_entropy((1.0 - overlap_n) / 2.0)
     return (1.0 - _binary_entropy(eps_bn)) - eve_entropy
 
@@ -367,6 +369,8 @@ def analyze_state(
     stack of one, so it matches the region sweep cell for cell.
     """
     if split is None:
+        if state.n_modes == 1:
+            raise ValueError("a one-mode state has no bipartite split")
         if state.n_modes != 2:
             raise ValueError("split is required for states with more than 2 modes")
         split = BipartiteSplit(1, 1)

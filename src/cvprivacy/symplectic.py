@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ComplexSpectrum, NotPositiveDefinite, SingularBlock
+from .exceptions import ComplexSpectrum, NotPositiveDefinite
 
-# Identity-check tolerance, positive-definiteness margin, and relative
-# rank cut for pseudo-inverses.  Double precision with headroom at the
-# small dimensions (2n <= ~20) this package targets.
+# Identity-check tolerance and positive-definiteness margin.  Double
+# precision with headroom at the small dimensions (2n <= ~20) this package
+# targets.
 TAU_LIN = 1e-9
 TAU_PSD = 1e-10
-TAU_RANK = 1e-10
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -54,11 +53,6 @@ def _symplectic_form(n_modes: int) -> np.ndarray:
 def momentum_flip(n_modes: int) -> np.ndarray:
     """Diagonal matrix D(1, -1, 1, -1, ...) flipping the sign of every P."""
     return np.diag(np.tile([1.0, -1.0], n_modes))
-
-
-def x_projector(n_modes: int) -> np.ndarray:
-    """Diagonal projector D(1, 0, 1, 0, ...) onto the X coordinates."""
-    return np.diag(np.tile([1.0, 0.0], n_modes))
 
 
 def is_symplectic(S: np.ndarray, tol: float = TAU_LIN) -> bool:
@@ -201,62 +195,6 @@ def williamson(C: np.ndarray) -> WilliamsonDecomposition:
     nu, O, _, R_inv = _williamson_kernel(C)
     S = (np.sqrt(np.repeat(nu, 2))[:, None] * O.T) @ R_inv
     return WilliamsonDecomposition(S=S, spectrum=nu)
-
-
-def block_inverse(A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """Blocks of the inverse of the partitioned matrix [[A, C], [C^T, B]].
-
-    Parameters
-    ----------
-    A, B : ndarray
-        Square diagonal blocks.
-    C : ndarray
-        Off-diagonal block coupling the two.
-
-    Returns
-    -------
-    tuple of ndarray
-        ``(top_left, top_right, bottom_left, bottom_right)`` blocks of the
-        inverse, via the Schur-complement formula.
-
-    Raises
-    ------
-    SingularBlock
-        If A, B, or a required Schur complement is singular.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    try:
-        B_inv = np.linalg.inv(B)
-        A_inv = np.linalg.inv(A)
-        schur_A = A - C @ B_inv @ C.T
-        schur_B = B - C.T @ A_inv @ C
-        top_left = np.linalg.inv(schur_A)
-        bottom_right = np.linalg.inv(schur_B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlock(str(exc)) from exc
-    top_right = -A_inv @ C @ bottom_right
-    bottom_left = -bottom_right @ C.T @ A_inv
-    return top_left, top_right, bottom_left, bottom_right
-
-
-def pseudo_inverse(M: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
-
-    Eigenvalues below ``TAU_RANK`` (relative to the largest modulus) are
-    treated as exact zeros, so the result inverts M on its numerical range.
-    """
-    M = np.asarray(M, dtype=float)
-    if np.max(np.abs(M - M.T)) > TAU_LIN:
-        raise ValueError("pseudo_inverse expects a symmetric matrix")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    inv_w = np.zeros_like(w)
-    if scale > 0.0:
-        keep = np.abs(w) > TAU_RANK * scale
-        inv_w[keep] = 1.0 / w[keep]
-    return (V * inv_w) @ V.T
 
 
 def psd_sqrt_of_similar(M: np.ndarray) -> np.ndarray:

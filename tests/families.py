@@ -15,10 +15,14 @@ import numpy as np
 from cvprivacy import (
     BipartiteSplit,
     GaussianState,
+    apply_symplectic,
+    direct_sum,
     is_physical,
     partial_transpose,
+    rotation_matrix,
     symplectic_eigenvalues,
     tensor,
+    two_mode_squeezed,
 )
 from cvprivacy.states import _symmetric_stack
 
@@ -76,3 +80,11 @@ def pt_boundary_margin(state: GaussianState, split: BipartiteSplit) -> float:
     """Distance of the partially transposed symplectic floor from 1."""
     pt = partial_transpose(state, split)
     return float(abs(symplectic_eigenvalues(pt.cov).min() - 1.0))
+
+
+def anticorrelated_tms(r: float) -> GaussianState:
+    """Two-mode squeezed state with Bob's mode rotated by pi: the X
+    correlation is -sinh(2r), so Bob's error odds grow like exp(4 sinh(2r) X0^2)."""
+    return apply_symplectic(
+        direct_sum(np.eye(2), rotation_matrix(np.pi)), None, two_mode_squeezed(r)
+    )

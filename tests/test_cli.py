@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cvprivacy
 from cvprivacy import (
@@ -20,6 +22,7 @@ from cvprivacy import (
 )
 from cvprivacy import cli
 from cvprivacy.cli import main
+from families import anticorrelated_tms
 
 
 def write_state(tmp_path, name, state):
@@ -111,6 +114,33 @@ def test_analyze_non_finite_state_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "cov[1][1]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("r", [2.5, 3.0])
+def test_analyze_anticorrelated_squeezing_writes_strict_json(tmp_path, r):
+    path = write_state(tmp_path, "s.json", anticorrelated_tms(r))
+    env = dict(os.environ, PYTHONPATH=str(Path(cvprivacy.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvprivacy.cli", "analyze", "--state", path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    doc = json.loads(proc.stdout, parse_constant=reject)
+    assert math.isfinite(doc["key_rate_estimate"])
+    # the error odds exp(4 sinh(2r)) exceed the float range at r = 3
+    assert (doc["eps_ratio_at_x0"] is None) == (r == 3.0)
+
+
+def test_analyze_one_mode_state_exits_1(tmp_path, capsys):
+    path = write_state(tmp_path, "one.json", vacuum_state(1))
+    code, _, err = run_cli(capsys, "analyze", "--state", path)
+    assert code == 1
+    assert err == "error: a one-mode state has no bipartite split\n"
 
 
 def test_sweep_columns_and_nesting(capsys):

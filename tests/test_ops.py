@@ -4,6 +4,7 @@ import pytest
 from cvprivacy import (
     DimensionMismatch,
     GaussianChannel,
+    GaussianState,
     NotSymplectic,
     Unphysical,
     apply_channel,
@@ -23,6 +24,7 @@ from cvprivacy import (
     symmetric_state,
     symplectic_eigenvalues,
     tensor,
+    two_mode_squeezed,
     vacuum_state,
 )
 
@@ -189,6 +191,56 @@ def test_homodyne_output_physical_on_random_states():
         state = random_physical_state(RNG, 3)
         out = homodyne_x(state, [1], results=[0.3])
         assert is_physical(out.post_state)
+
+
+def _precision_route(state, measured, results):
+    """Homodyne update from the precision matrix P of the measured X and kept
+    coordinates: B' = (P_rr)^{-1}, d' = d_r - (P_rr)^{-1} P_rx (results - d_x)."""
+    x_ix = [2 * m for m in measured]
+    rest_ix = [2 * m + q for m in range(state.n_modes) if m not in measured for q in (0, 1)]
+    joint = state.cov[np.ix_(x_ix + rest_ix, x_ix + rest_ix)]
+    P = np.linalg.inv(joint)
+    k = len(x_ix)
+    post_cov = np.linalg.inv(P[k:, k:])
+    post_disp = state.disp[rest_ix] - post_cov @ P[k:, :k] @ (results - state.disp[x_ix])
+    return post_cov, post_disp, np.linalg.cond(joint)
+
+
+def _homodyne_cases():
+    rng = np.random.default_rng(2105)
+    for i in range(40):
+        n = 3 + i % 2
+        base = random_physical_state(rng, n)
+        state = GaussianState(base.cov, rng.normal(size=2 * n))
+        measured = sorted(rng.choice(n, size=1 + i % (n - 1), replace=False).tolist())
+        yield state, measured, rng.normal(size=len(measured))
+    # the measured X block has cond ~2.4e10: a relative rank cut at 1e-10
+    # would discard its small direction
+    squeezed = tensor(two_mode_squeezed(6.0), vacuum_state(1))
+    S = direct_sum(np.eye(2), beamsplitter_matrix(1e-3))
+    yield apply_symplectic(S, None, squeezed), [0, 1], np.array([0.7, -0.4])
+
+
+def test_homodyne_matches_precision_matrix_route():
+    # The solve's relative forward error is of order cond(K) eps, K the
+    # measured X block.  The reference inverts the joint block, whose
+    # condition number bounds cond(K) from above (K is a principal block),
+    # and its own error is of order cond(joint) eps; that sets the tolerance,
+    # relative to the largest entry of each output.
+    eps = np.finfo(float).eps
+    for state, measured, results in _homodyne_cases():
+        post = homodyne_x(state, measured, results=results).post_state
+        ref_cov, ref_disp, cond = _precision_route(state, measured, results)
+        tol = 4.0 * cond * eps
+        assert np.max(np.abs(post.cov - ref_cov)) <= tol * np.max(np.abs(ref_cov))
+        assert np.max(np.abs(post.disp - ref_disp)) <= tol * np.max(np.abs(ref_disp))
+    # the last case is the ill-conditioned one
+    assert np.linalg.cond(state.cov[np.ix_([0, 2], [0, 2])]) > 1e10
+
+
+def test_homodyne_rejects_unphysical_state():
+    with pytest.raises(Unphysical):
+        homodyne_x(GaussianState(np.zeros((4, 4))), [0], results=[0.0])
 
 
 def test_tensor_vacuum():

@@ -32,7 +32,12 @@ from cvprivacy import (
     two_mode_squeezed,
     vacuum_state,
 )
-from families import pt_boundary_margin, random_aligned_state, random_protocol_state
+from families import (
+    anticorrelated_tms,
+    pt_boundary_margin,
+    random_aligned_state,
+    random_protocol_state,
+)
 
 RNG = np.random.default_rng(777)
 SPLIT_11 = BipartiteSplit(1, 1)
@@ -258,6 +263,15 @@ def test_key_rate_estimate_vanishes_at_collective_boundary():
     assert values[2] < 1e-4
 
 
+@pytest.mark.parametrize("r", [2.5, 3.0, 4.0])
+def test_anticorrelated_squeezing_gets_a_finite_report(r):
+    # Bob's error odds exp(4 sinh(2r) N X0^2) pass the float range from
+    # r = 2.5 on at N = 5; the error probability never exponentiates them
+    state = anticorrelated_tms(r)
+    assert np.isfinite(analyze_state(state).key_rate_estimate)
+    assert 0.0 <= eps_b(state, 1.0) <= 1.0
+
+
 # -- reports and invariants -----------------------------------------------------
 
 
@@ -269,6 +283,11 @@ def test_two_mode_squeezed_builds_and_analyzes_at_strong_squeezing():
         assert is_physical(state)
         rep = analyze_state(state)
         assert not rep.ppt and rep.individual_secure and rep.collective_secure
+
+
+def test_analyze_one_mode_state_names_the_missing_split():
+    with pytest.raises(ValueError, match="one-mode state has no bipartite split"):
+        analyze_state(vacuum_state(1))
 
 
 def test_report_examples():

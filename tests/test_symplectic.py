@@ -4,10 +4,7 @@ import pytest
 from cvprivacy import (
     ComplexSpectrum,
     NotPositiveDefinite,
-    SingularBlock,
-    block_inverse,
     is_symplectic,
-    pseudo_inverse,
     psd_sqrt_of_similar,
     random_physical_state,
     symmetric_state,
@@ -111,52 +108,6 @@ def test_williamson_random_invariants_and_roundtrip():
         np.testing.assert_allclose(
             S_inv @ dec.normal_form() @ S_inv.T, C, atol=1e-8
         )
-
-
-def test_block_inverse_identity_blocks():
-    tl, tr, bl, br = block_inverse(np.eye(2), np.eye(2), np.zeros((2, 2)))
-    np.testing.assert_allclose(tl, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(br, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(tr, np.zeros((2, 2)), atol=1e-12)
-    np.testing.assert_allclose(bl, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_block_inverse_matches_dense_inverse():
-    for _ in range(1000):
-        M = random_physical_state(RNG, 2).cov
-        tl, tr, bl, br = block_inverse(M[:2, :2], M[2:, 2:], M[:2, 2:])
-        assembled = np.block([[tl, tr], [bl, br]])
-        np.testing.assert_allclose(assembled, np.linalg.inv(M), atol=TAU_LIN)
-
-
-def test_block_inverse_symmetric_state():
-    M = symmetric_state(2.0, 1.2, 1.2).cov
-    tl, tr, bl, br = block_inverse(M[:2, :2], M[2:, 2:], M[:2, 2:])
-    assembled = np.block([[tl, tr], [bl, br]])
-    np.testing.assert_allclose(assembled, np.linalg.inv(M), atol=TAU_LIN)
-
-
-def test_block_inverse_rejects_singular_block():
-    with pytest.raises(SingularBlock):
-        block_inverse(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-
-
-def test_pseudo_inverse_projector_cases():
-    np.testing.assert_allclose(
-        pseudo_inverse(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-12
-    )
-
-
-def test_pseudo_inverse_penrose_identities():
-    X = np.diag([1.0, 0.0])
-    for _ in range(50):
-        M = X @ random_physical_state(RNG, 1).cov @ X
-        P = pseudo_inverse(M)
-        np.testing.assert_allclose(M @ P @ M, M, atol=TAU_LIN)
-        np.testing.assert_allclose(P @ M @ P, P, atol=TAU_LIN)
 
 
 def test_psd_sqrt_trivial_cases():
