@@ -47,7 +47,6 @@ from .ops import (
     beamsplitter_matrix,
     direct_sum,
     homodyne_x,
-    reorder_modes,
     rotation_matrix,
     squeeze_matrix,
     tensor,

@@ -46,7 +46,9 @@ class FockState:
     Hermitian, on its first read and cached (a state built from ``rho``
     keeps that matrix).  ``tail_mass`` estimates the probability weight
     lost to truncation, from the exact partition function of the
-    generating quadratic form.
+    generating quadratic form.  The arrays of an ``eigen`` from
+    ``gaussian_to_fock`` are read-only: the conversion keeps its last
+    solve, and a displaced pair shares its weights.
     """
 
     n_modes: int
@@ -141,6 +143,13 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     sliced single-mode factors.  The eigendecomposition of the kept block
     is the returned state's data; its density matrix is built only if read.
 
+    The state with displacement -d has Hamiltonian Pi H Pi, with Pi the
+    photon-number parity (-1)^(n_1 + ... + n_k), so its eigenpairs are
+    (w, Pi V).  The last solve is kept, and converting the mirrored partner
+    of the state just converted reuses it: the two states share their
+    weights, and the arrays of ``eigen`` are read-only.  The physicality
+    and cutoff checks run on every call.
+
     Raises
     ------
     ValueError
@@ -163,12 +172,41 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff!r}")
     n = state.n_modes
 
-    decomp = williamson(state.cov)
+    # d and -d share one key: the sign that makes the first nonzero entry
+    # positive, and + 0.0 to turn -0.0 into 0.0
+    disp = state.disp
+    nonzero = np.flatnonzero(disp)
+    mirrored = nonzero.size > 0 and disp[nonzero[0]] < 0.0
+    key = (-disp if mirrored else disp) + 0.0
+    tail, weights, V = _solve(n, int(cutoff), state.cov.tobytes(), key.tobytes())
+    if mirrored:
+        V = V * _parity(n, cutoff)[:, None]
+        V.flags.writeable = False
+    return FockState(n_modes=n, cutoff=cutoff, tail_mass=tail, eigen=(weights, V))
+
+
+def _parity(n_modes: int, cutoff: int) -> np.ndarray:
+    """(-1)^(n_1 + ... + n_k) on the truncated basis, first mode leftmost."""
+    levels = np.indices((cutoff,) * n_modes).sum(axis=0).ravel()
+    return np.where(levels % 2, -1.0, 1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _solve(n: int, cutoff: int, cov_bytes: bytes, disp_bytes: bytes):
+    """(tail mass, weights, V) of the state with these moments, read-only.
+
+    Holds the last solve only: its one reuse is the mirrored partner of a
+    displaced pair, converted right after it.  A ``TailTooHeavy`` raised
+    here is not cached.
+    """
+    cov = np.frombuffer(cov_bytes).reshape(2 * n, 2 * n)
+    disp = np.frombuffer(disp_bytes)
+    decomp = williamson(cov)
     nu = np.maximum(decomp.spectrum, 1.0 + _NU_FLOOR)
     beta = np.log((nu + 1.0) / (nu - 1.0))
     G = decomp.S.T @ np.diag(np.repeat(beta, 2)) @ decomp.S
 
-    H = _hamiltonian(G, state.disp, cutoff)
+    H = _hamiltonian(G, disp, cutoff)
     H += H.conj().T
     H *= 0.5
 
@@ -193,7 +231,9 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
             f"tail mass {tail:.3e} at cutoff {cutoff}; increase the cutoff"
         )
     weights /= total
-    return FockState(n_modes=n, cutoff=cutoff, tail_mass=tail, eigen=(weights, V))
+    weights.flags.writeable = False
+    V.flags.writeable = False
+    return tail, weights, V
 
 
 def fock_moments(fock: FockState):

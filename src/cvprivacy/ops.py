@@ -2,7 +2,7 @@
 
 Covers affine symplectic unitaries, general Gaussian completely positive
 maps parameterized by a (covariance, displacement) pair, homodyne
-conditioning on X quadratures, and the tensor/reordering plumbing.
+conditioning on X quadratures, and tensor products.
 """
 
 from dataclasses import dataclass
@@ -211,17 +211,6 @@ def tensor(s1: GaussianState, s2: GaussianState) -> GaussianState:
     return GaussianState(
         direct_sum(s1.cov, s2.cov), np.concatenate([s1.disp, s2.disp])
     )
-
-
-def reorder_modes(state: GaussianState, permutation) -> GaussianState:
-    """Permute modes: new mode j is old mode ``permutation[j]``."""
-    perm = list(permutation)
-    if sorted(perm) != list(range(state.n_modes)):
-        raise DimensionMismatch(
-            f"permutation {perm} is not a rearrangement of {state.n_modes} modes"
-        )
-    ix = np.array([2 * m + q for m in perm for q in (0, 1)])
-    return GaussianState(state.cov[np.ix_(ix, ix)], state.disp[ix])
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,13 @@ def eps_ratio_exponent(state: GaussianState, measured_x_coords=None) -> float:
 
 
 def eps_ratio(state: GaussianState, x0: float, measured_x_coords=None) -> float:
-    """Bob's error odds eps_B / (1 - eps_B) after post-selection at +/- x0."""
-    return float(np.exp(-(x0 ** 2) * eps_ratio_exponent(state, measured_x_coords)))
+    """Bob's error odds eps_B / (1 - eps_B) after post-selection at +/- x0.
+
+    Odds past the float range (k_B X0^2 below about -709.8) are returned
+    as ``math.inf``, with no overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.exp(-(x0 ** 2) * eps_ratio_exponent(state, measured_x_coords)))
 
 
 def eps_b(state: GaussianState, x0: float, measured_x_coords=None) -> float:

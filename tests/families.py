@@ -14,6 +14,7 @@ import numpy as np
 
 from cvprivacy import (
     BipartiteSplit,
+    DimensionMismatch,
     GaussianState,
     apply_symplectic,
     direct_sum,
@@ -88,3 +89,14 @@ def anticorrelated_tms(r: float) -> GaussianState:
     return apply_symplectic(
         direct_sum(np.eye(2), rotation_matrix(np.pi)), None, two_mode_squeezed(r)
     )
+
+
+def reorder_modes(state: GaussianState, permutation) -> GaussianState:
+    """Permute modes: new mode j is old mode ``permutation[j]``."""
+    perm = list(permutation)
+    if sorted(perm) != list(range(state.n_modes)):
+        raise DimensionMismatch(
+            f"permutation {perm} is not a rearrangement of {state.n_modes} modes"
+        )
+    ix = np.array([2 * m + q for m in perm for q in (0, 1)])
+    return GaussianState(state.cov[np.ix_(ix, ix)], state.disp[ix])

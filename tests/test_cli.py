@@ -12,7 +12,6 @@ import pytest
 import cvprivacy
 from cvprivacy import (
     ProtocolConfig,
-    reorder_modes,
     sample_postselected_bits,
     slope_check,
     state_to_json,
@@ -22,7 +21,7 @@ from cvprivacy import (
 )
 from cvprivacy import cli
 from cvprivacy.cli import main
-from families import anticorrelated_tms
+from families import anticorrelated_tms, reorder_modes
 
 
 def write_state(tmp_path, name, state):

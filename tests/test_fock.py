@@ -16,7 +16,7 @@ from cvprivacy import (
     vacuum_state,
     williamson,
 )
-from cvprivacy.fock import _NU_FLOOR, _hamiltonian, quadrature_operators
+from cvprivacy.fock import _NU_FLOOR, _hamiltonian, _parity, _solve, quadrature_operators
 
 RNG = np.random.default_rng(606)
 
@@ -386,6 +386,7 @@ def test_eigensolver_failure_raises_numerical_failure(monkeypatch, state, cutoff
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(*solver, fail)
+    _solve.cache_clear()
     with pytest.raises(NumericalFailure, match="eigensolver"):
         gaussian_to_fock(state, cutoff)
 
@@ -399,3 +400,118 @@ def test_rejects_cutoff_that_is_not_a_positive_integer(cutoff):
 def test_accepts_numpy_integer_cutoff():
     fk = gaussian_to_fock(vacuum_state(1), np.int64(8))
     assert fk.rho.shape == (8, 8)
+
+
+# -- a displaced pair shares one solve -------------------------------------------
+
+
+def mirror_cases():
+    """Seeded (state, cutoff) pairs, one and two modes, either leading sign."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for sign in (1.0, -1.0):
+        d = rng.normal(size=2)
+        d *= sign * np.sign(d[0]) * 0.8 / np.linalg.norm(d)
+        cases.append((GaussianState(random_mild_cov(rng), d), 40))
+        d = rng.normal(size=4)
+        d *= sign * np.sign(d[0]) * 0.4 / np.linalg.norm(d)
+        cases.append((GaussianState(bloch_messiah_cov(rng, 2, 0.12, 1.05, 1.35), d), 20))
+    return cases
+
+
+MIRROR_CASES = mirror_cases()
+
+
+def mirror(state):
+    return GaussianState(state.cov, -state.disp)
+
+
+def direct_solve(state, cutoff):
+    """The eigenpairs of the state's own Hamiltonian, past the cache and its
+    sign normalisation."""
+    tail, w, V = _solve.__wrapped__(
+        state.n_modes, cutoff, state.cov.tobytes(), state.disp.tobytes()
+    )
+    return FockState(n_modes=state.n_modes, cutoff=cutoff, tail_mass=tail, eigen=(w, V))
+
+
+@pytest.mark.parametrize("state, cutoff", MIRROR_CASES)
+def test_hamiltonian_of_the_mirror_is_its_parity_image(state, cutoff):
+    G = generator_matrix(state)
+    parity = _parity(state.n_modes, cutoff)
+    plus = _hamiltonian(G, state.disp, cutoff)
+    minus = _hamiltonian(G, -state.disp, cutoff)
+    assert np.array_equal(minus, parity[:, None] * plus * parity)
+    # the identity is not empty: H has entries of both parities
+    assert np.count_nonzero((parity[:, None] * parity < 0) & (plus != 0)) > 0
+
+
+@pytest.mark.parametrize("state, cutoff", MIRROR_CASES)
+def test_mirrored_partner_matches_a_direct_solve(state, cutoff):
+    gaussian_to_fock(single_mode_thermal(1.3), 30)
+    plus = gaussian_to_fock(state, cutoff)
+    hits = _solve.cache_info().hits
+    minus = gaussian_to_fock(mirror(state), cutoff)
+    assert _solve.cache_info().hits == hits + 1
+    # whichever of the two has a negative leading entry is the parity image
+    assert np.array_equal(plus.eigen[0], minus.eigen[0])
+    for fk, s in ((plus, state), (minus, mirror(state))):
+        direct = direct_solve(s, cutoff)
+        assert fk.tail_mass == direct.tail_mass
+        assert np.max(np.abs(fk.rho - direct.rho)) <= 1e-13
+    fid = uhlmann_fidelity(plus, minus)
+    direct = uhlmann_fidelity(direct_solve(state, cutoff), direct_solve(mirror(state), cutoff))
+    assert abs(fid - direct) <= 1e-12
+    closed = np.exp(-state.disp @ np.linalg.solve(state.cov, state.disp))
+    assert abs(fid - closed) < 1e-3
+
+
+def test_no_stale_solve_is_served():
+    state, cutoff = MIRROR_CASES[0]
+    cov = state.cov.copy()
+    cov[0, 0] = np.nextafter(cov[0, 0], np.inf)
+    for other, other_cutoff in ((GaussianState(cov, state.disp), cutoff), (state, cutoff + 1)):
+        _solve.cache_clear()
+        fresh = gaussian_to_fock(other, other_cutoff).eigen
+        gaussian_to_fock(state, cutoff)
+        served = gaussian_to_fock(other, other_cutoff).eigen
+        assert all(np.array_equal(a, b) for a, b in zip(served, fresh))
+    assert _solve.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize(
+    "disp",
+    [
+        [0.0, 0.0],
+        [-0.0, -0.0],
+        [0.0, 0.4],
+        [0.0, -0.4],
+        [-0.0, 0.4],
+        [0.5, -0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.0, 0.0, 0.3, -0.2],
+        [0.0, -0.0, -0.3, 0.2],
+    ],
+)
+def test_zero_entries_give_correct_pairs(disp):
+    disp = np.array(disp)
+    n = len(disp) // 2
+    cutoff = {1: 40, 2: 16}[n]
+    cov = random_mild_cov(np.random.default_rng(3)) if n == 1 else two_mode_squeezed(0.2).cov
+    state = GaussianState(cov, disp)
+    plus = gaussian_to_fock(state, cutoff)
+    hits = _solve.cache_info().hits
+    minus = gaussian_to_fock(mirror(state), cutoff)
+    assert _solve.cache_info().hits == hits + 1
+    for fk, s in ((plus, state), (minus, mirror(state))):
+        assert np.max(np.abs(fk.rho - direct_solve(s, cutoff).rho)) <= 1e-13
+    closed = np.exp(-disp @ np.linalg.solve(cov, disp))
+    assert abs(uhlmann_fidelity(plus, minus) - closed) < 1e-6
+
+
+def test_eigenpairs_are_read_only():
+    state, cutoff = MIRROR_CASES[0]
+    for fk in (gaussian_to_fock(state, cutoff), gaussian_to_fock(mirror(state), cutoff)):
+        for array in fk.eigen:
+            with pytest.raises(ValueError):
+                array[0] = 0.0

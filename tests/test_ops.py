@@ -17,7 +17,6 @@ from cvprivacy import (
     purity,
     quadrature_density,
     random_physical_state,
-    reorder_modes,
     rotation_matrix,
     single_mode_thermal,
     squeeze_matrix,
@@ -27,6 +26,7 @@ from cvprivacy import (
     two_mode_squeezed,
     vacuum_state,
 )
+from families import reorder_modes
 
 RNG = np.random.default_rng(314)
 

@@ -196,6 +196,14 @@ def test_eps_ratio_monotone_in_correlation():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def test_eps_ratio_past_the_float_range_is_inf_without_warning():
+    # the odds are exp(4 sinh(6)) = exp(807); RuntimeWarnings are errors here
+    state = anticorrelated_tms(3.0)
+    assert -eps_ratio_exponent(state) > np.log(np.finfo(float).max)
+    assert eps_ratio(state, 1.0) == np.inf
+    assert eps_b(state, 1.0) == 1.0
+
+
 # -- security conditions -------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from cvprivacy import (
     NoAcceptedSamples,
     ProtocolConfig,
     advantage_distillation,
-    reorder_modes,
     run_simulation,
     sample_postselected_bits,
     single_mode_thermal,
@@ -27,6 +26,7 @@ from cvprivacy import (
 from cvprivacy import simulate
 from cvprivacy.simulate import _block_outcomes, _box_probabilities, _stream
 from cvprivacy.states import GaussianDensity, _resolve_x_coords, quadrature_density
+from families import reorder_modes
 
 REFERENCE = symmetric_state(2.0, 1.2, 1.2)
 # eps_B at (lam=2, c=1.2), X0=1, from the odds ratio exp(-1.875)
