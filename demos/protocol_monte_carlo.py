@@ -28,7 +28,7 @@ print(f"empirical eps_B = {stage.eps_b_hat:.5f} +- {stage.eps_b_se:.5f}")
 print("\n== One advantage-distillation pass (N = 3) ==")
 cfg3 = ProtocolConfig(x0=1.0, delta=0.05, n_samples=5_000_000, seed=12, n_rounds=3)
 stage3 = sample_postselected_bits(state, cfg3)
-result = run_simulation(stage3, cfg3)
+result = run_simulation(stage3)
 print(f"{result.distilled_blocks:,} of {stage3.accepted_pairs // 3:,} blocks kept "
       f"(yield {result.ad_yield:.3f}), distilled error "
       f"{result.eps_bn_hat:.5f} +- {result.eps_bn_se:.5f}")
@@ -39,7 +39,7 @@ print(f"i.i.d. prediction from this stage's eps_B = {eps3:.5f}: "
 
 print("\n== Error decay rate across block lengths ==")
 slope_cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=20_000_000, seed=13)
-fit = slope_check(sample_postselected_bits(state, slope_cfg), slope_cfg, range(1, 6))
+fit = slope_check(sample_postselected_bits(state, slope_cfg), range(1, 6))
 ratio = analytic / (1 - analytic)
 print(f"{'N':>3} {'eps_BN':>12} {'blocks':>12}")
 for p in fit.points:

@@ -1,8 +1,8 @@
 """Command-line interface: security reports, region sweeps, Monte Carlo runs,
 and oracle certification.
 
-Exit codes: 0 success, 1 schema or certification failure, 2 unphysical
-input state, 3 insufficient statistics.
+Exit codes: 0 success, 1 schema, numerical or certification failure (any
+other library error), 2 unphysical input state, 3 insufficient statistics.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fock, security, simulate
 from .exceptions import (
+    CVPrivacyError,
     InsufficientStatistics,
     NoAcceptedSamples,
     StateSchemaError,
@@ -172,7 +173,7 @@ def cmd_simulate(args) -> int:
         seed=_resolve_seed(args),
     )
     stage = simulate.sample_postselected_bits(state, cfg, coords)
-    result = simulate.run_simulation(stage, cfg)
+    result = simulate.run_simulation(stage)
     text = json.dumps(result.to_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -180,7 +181,7 @@ def cmd_simulate(args) -> int:
     else:
         print(text)
     if args.slope_csv:
-        fit = simulate.slope_check(stage, cfg, range(1, cfg.n_rounds + 1))
+        fit = simulate.slope_check(stage, range(1, cfg.n_rounds + 1))
         with open(args.slope_csv, "w", encoding="utf-8") as fh:
             fh.write(fit.to_csv())
     return 0
@@ -326,15 +327,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StateSchemaError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Unphysical as exc:
         print(f"unphysical state: {exc}", file=sys.stderr)
         return 2
     except (InsufficientStatistics, NoAcceptedSamples) as exc:
         print(f"insufficient statistics: {exc}", file=sys.stderr)
         return 3
+    except (CVPrivacyError, FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import Unphysical
+from .exceptions import NumericalFailure, Unphysical
 from .ops import _condition
 from .states import (
     BipartiteSplit,
@@ -78,8 +78,11 @@ def purify(state: GaussianState) -> Purification:
     F = T sigma (D^2 - 1)^{1/2} T^T theta and Eve's block is
     theta gamma theta.  This F equals sigma [-(sigma gamma)^2 - 1]^{1/2} theta
     with the principal root, taken without a non-symmetric eigenproblem.
-    The joint covariance is then pure and reduces exactly to the input on
-    the system block.
+    The joint covariance then reduces exactly to the input on the system
+    block, and is pure to rounding: its symplectic eigenvalues nu have
+    |nu - 1| of order eps ||gamma||^2 (spectral norm), 6.8e-9 at r = 5 and
+    2.1e-2 at r = 8 on the two-mode squeezed covariance, where the stored
+    input is itself impure by 6.8e-9 and 6.9e-4.
     """
     _require_physical(state)
     n = state.n_modes
@@ -164,7 +167,8 @@ def _exponent_stack(covs: np.ndarray, coords):
     not positive definite; the exponents are given for the other matrices,
     in order.  Only those are inverted, since one singular matrix would
     make ``np.linalg.inv`` fail for the whole stack.  The caller has
-    resolved ``coords``.
+    resolved ``coords``.  A physical matrix singular to working precision,
+    as strong squeezing can leave, raises ``NumericalFailure``.
     """
     ix = np.asarray(coords)
     gx = covs[:, ix[:, None], ix]
@@ -173,9 +177,13 @@ def _exponent_stack(covs: np.ndarray, coords):
     if not ok.all():
         covs, gx, det = covs[ok], gx[ok], det[ok]
     sigma = symplectic_form(covs.shape[-1] // 2)
-    Gx = (sigma @ np.linalg.inv(covs) @ sigma.T)[:, ix[:, None], ix]
-    u = np.ones(2)
-    k_f = u @ (np.linalg.inv(Gx) - np.linalg.inv(gx)) @ u
+    try:
+        Gx = (sigma @ np.linalg.inv(covs) @ sigma.T)[:, ix[:, None], ix]
+        u = np.ones(2)
+        k_f = u @ (np.linalg.inv(Gx) - np.linalg.inv(gx)) @ u
+    except np.linalg.LinAlgError as exc:
+        cond = np.linalg.cond(covs).max()
+        raise NumericalFailure(f"singular covariance, condition number {cond:.1e}") from exc
     return 4.0 * gx[:, 0, 1] / det, k_f, ok
 
 

@@ -49,6 +49,11 @@ _LANE_AD = 1
 # its error rate; SimulationResult.to_dict flags it as thin.
 THIN_ERRORS = 10
 
+# The slope fit sizes each block length's draw for this many expected
+# distilled errors, and draws at most SLOPE_MAX_BLOCKS blocks per length.
+SLOPE_TARGET_ERRORS = 150
+SLOPE_MAX_BLOCKS = 2_000_000_000
+
 # The window boxes as (sign of X_A, sign of X_B), in _box_probabilities order.
 _BOX_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
 
@@ -93,6 +98,7 @@ class ProtocolConfig:
 class PostSelectedBits:
     """Counts of the measurement stage and of its distillation pass.
 
+    ``config`` is the configuration the stage was drawn for.
     ``window_probability`` is the analytic probability that one raw draw
     lands in the window.  ``error_pairs`` of the ``accepted_pairs`` have
     differing bits.  ``block_counts[j]`` is the number of full blocks of
@@ -101,7 +107,7 @@ class PostSelectedBits:
     ``error_pairs`` only.
     """
 
-    n_raw: int
+    config: ProtocolConfig
     accepted_pairs: int
     error_pairs: int
     block_counts: np.ndarray
@@ -109,23 +115,22 @@ class PostSelectedBits:
     eps_b_se: float
     window_probability: float
 
+    @property
+    def n_raw(self) -> int:
+        """Raw draws of the stage: ``config.n_samples``."""
+        return self.config.n_samples
+
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Empirical protocol statistics for one configuration."""
+    """The distillation pass of one measurement stage, as statistics."""
 
-    accepted_pairs: int
-    n_raw: int
-    window_probability: float
-    eps_b_hat: float
-    eps_b_se: float
+    stage: PostSelectedBits
     distilled_blocks: int
     distilled_errors: int
     eps_bn_hat: float
     eps_bn_se: float
     ad_yield: float
-    n_rounds: int
-    config: ProtocolConfig
 
     def to_dict(self) -> dict:
         """JSON-ready summary; ``thin`` is set below THIN_ERRORS distilled errors.
@@ -133,23 +138,24 @@ class SimulationResult:
         With no distilled block, ``eps_bn_hat`` and ``eps_bn_se`` are None
         (JSON null), since strict JSON has no NaN.
         """
+        stage, cfg = self.stage, self.stage.config
         return {
-            "accepted_pairs": self.accepted_pairs,
-            "n_raw": self.n_raw,
-            "window_probability": self.window_probability,
-            "eps_b_hat": self.eps_b_hat,
-            "eps_b_se": self.eps_b_se,
+            "accepted_pairs": stage.accepted_pairs,
+            "n_raw": cfg.n_samples,
+            "window_probability": stage.window_probability,
+            "eps_b_hat": stage.eps_b_hat,
+            "eps_b_se": stage.eps_b_se,
             "distilled_blocks": self.distilled_blocks,
             "distilled_errors": self.distilled_errors,
             "eps_bn_hat": self.eps_bn_hat if self.distilled_blocks else None,
             "eps_bn_se": self.eps_bn_se if self.distilled_blocks else None,
             "thin": self.distilled_errors < THIN_ERRORS,
             "ad_yield": self.ad_yield,
-            "n_rounds": self.n_rounds,
-            "x0": self.config.x0,
-            "delta": self.config.delta,
-            "n_samples": self.config.n_samples,
-            "seed": self.config.seed,
+            "n_rounds": cfg.n_rounds,
+            "x0": cfg.x0,
+            "delta": cfg.delta,
+            "n_samples": cfg.n_samples,
+            "seed": cfg.seed,
         }
 
 
@@ -289,7 +295,7 @@ def sample_postselected_bits(
     eps_hat = n_err / n_acc
     se = math.sqrt(max(eps_hat * (1.0 - eps_hat), 1.0 / n_acc) / n_acc)
     return PostSelectedBits(
-        n_raw=cfg.n_samples,
+        config=cfg,
         accepted_pairs=n_acc,
         error_pairs=n_err,
         block_counts=block_counts,
@@ -338,12 +344,12 @@ def advantage_distillation(
     return distilled_a, distilled_b, float(accept.mean())
 
 
-def run_simulation(stage: PostSelectedBits, cfg: ProtocolConfig) -> SimulationResult:
+def run_simulation(stage: PostSelectedBits) -> SimulationResult:
     """The advantage-distillation pass of the measurement stage, as statistics.
 
-    ``stage`` is the result of ``sample_postselected_bits`` for ``cfg``,
-    whose block counts are the pass over its pairs in blocks of
-    ``cfg.n_rounds``.
+    ``stage`` is a result of ``sample_postselected_bits``, whose block
+    counts are the pass over its pairs in blocks of
+    ``stage.config.n_rounds``.
 
     Raises
     ------
@@ -351,14 +357,11 @@ def run_simulation(stage: PostSelectedBits, cfg: ProtocolConfig) -> SimulationRe
         If the accepted pairs do not fill one block.
     """
     counts = stage.block_counts
-    if counts.size != cfg.n_rounds + 1:
-        raise ValueError(
-            f"stage drawn for blocks of {counts.size - 1} pairs, not {cfg.n_rounds}"
-        )
     n_blocks = int(counts.sum())
     if n_blocks == 0:
         raise InsufficientStatistics(
-            f"{stage.accepted_pairs} accepted pairs do not fill one block of {cfg.n_rounds}"
+            f"{stage.accepted_pairs} accepted pairs do not fill one block of "
+            f"{stage.config.n_rounds}"
         )
     n_err = int(counts[-1])
     n_dist = int(counts[0]) + n_err
@@ -369,18 +372,12 @@ def run_simulation(stage: PostSelectedBits, cfg: ProtocolConfig) -> SimulationRe
         eps_bn = n_err / n_dist
         se_bn = math.sqrt(max(eps_bn * (1.0 - eps_bn), 1.0 / n_dist) / n_dist)
     return SimulationResult(
-        accepted_pairs=stage.accepted_pairs,
-        n_raw=stage.n_raw,
-        window_probability=stage.window_probability,
-        eps_b_hat=stage.eps_b_hat,
-        eps_b_se=stage.eps_b_se,
+        stage=stage,
         distilled_blocks=n_dist,
         distilled_errors=n_err,
         eps_bn_hat=eps_bn,
         eps_bn_se=se_bn,
         ad_yield=n_dist / n_blocks,
-        n_rounds=cfg.n_rounds,
-        config=cfg,
     )
 
 
@@ -404,7 +401,6 @@ class SlopeFit:
     stderr: float
     intercept: float
     points: tuple
-    eps_b_hat: float
 
     def to_csv(self) -> str:
         """Rows of (N, eps_BN, standard error), one block length per line."""
@@ -415,22 +411,16 @@ class SlopeFit:
         return "\n".join(lines) + "\n"
 
 
-def slope_check(
-    stage: PostSelectedBits,
-    cfg: ProtocolConfig,
-    n_range=range(1, 9),
-    target_errors: int = 150,
-    max_blocks_per_n: int = 2_000_000_000,
-) -> SlopeFit:
+def slope_check(stage: PostSelectedBits, n_range=range(1, 9)) -> SlopeFit:
     """Fit the decay rate of the distilled error across block lengths.
 
-    ``stage`` is the result of ``sample_postselected_bits`` for ``cfg``;
-    its error-rate estimate drives the distillation error process, whose
-    blocks are drawn from the same law as the stage's pass
-    (``_block_outcomes``) at each block length, with enough blocks for
-    ``target_errors`` expected errors, and log eps_BN is fitted against N
-    by least squares.  A block length whose budget would exceed
-    ``max_blocks_per_n`` blocks is simulated with that many, flagged
+    ``stage`` is a result of ``sample_postselected_bits``; its error-rate
+    estimate drives the distillation error process, whose blocks are drawn
+    from the same law as the stage's pass (``_block_outcomes``) at each
+    block length, on streams keyed on the stage's seed, with enough blocks
+    for ``SLOPE_TARGET_ERRORS`` expected errors, and log eps_BN is fitted
+    against N by least squares.  A block length whose budget would exceed
+    ``SLOPE_MAX_BLOCKS`` blocks is simulated with that many, flagged
     insufficient and excluded from the fit: the cap bounds the statistics
     behind a point, not the runtime, which is the same for every budget.
 
@@ -445,15 +435,15 @@ def slope_check(
     points = []
     for n in n_range:
         expected_rate = eps ** n
-        # compared before dividing: once eps^n is tiny, target_errors / eps^n
+        # compared before dividing: once eps^n is tiny, the target over eps^n
         # is too large for ceil, and once it underflows to 0 it divides by zero
-        capped = expected_rate * max_blocks_per_n < target_errors
+        capped = expected_rate * SLOPE_MAX_BLOCKS < SLOPE_TARGET_ERRORS
         n_blocks = (
-            max_blocks_per_n
+            SLOPE_MAX_BLOCKS
             if capped
-            else min(max_blocks_per_n, math.ceil(target_errors / expected_rate))
+            else min(SLOPE_MAX_BLOCKS, math.ceil(SLOPE_TARGET_ERRORS / expected_rate))
         )
-        counts = _block_outcomes(eps, n, n_blocks, _stream(cfg.seed, _LANE_AD, n))
+        counts = _block_outcomes(eps, n, n_blocks, _stream(stage.config.seed, _LANE_AD, n))
         errors = int(counts[-1])
         accepted = int(counts[0]) + errors
         sufficient = not capped and errors >= 100 and accepted > errors
@@ -471,7 +461,7 @@ def slope_check(
     usable = [p for p in points if p.sufficient]
     if len(usable) < 2:
         raise InsufficientStatistics(
-            f"only {len(usable)} block lengths reached {target_errors} errors"
+            f"only {len(usable)} block lengths reached {SLOPE_TARGET_ERRORS} errors"
         )
     xs = np.array([p.n_rounds for p in usable], dtype=float)
     ys = np.log([p.eps_bn_hat for p in usable])
@@ -489,5 +479,4 @@ def slope_check(
         stderr=stderr,
         intercept=intercept,
         points=tuple(points),
-        eps_b_hat=eps,
     )

@@ -55,11 +55,11 @@ def momentum_flip(n_modes: int) -> np.ndarray:
     return np.diag(np.tile([1.0, -1.0], n_modes))
 
 
-def is_symplectic(S: np.ndarray, tol: float = TAU_LIN) -> bool:
-    """Check S sigma S^T = sigma within ``tol`` (max-abs entrywise)."""
+def is_symplectic(S: np.ndarray) -> bool:
+    """Check S sigma S^T = sigma within ``TAU_LIN`` (max-abs entrywise)."""
     n = S.shape[0] // 2
     sigma = symplectic_form(n)
-    return bool(np.max(np.abs(S @ sigma @ S.T - sigma)) <= tol)
+    return bool(np.max(np.abs(S @ sigma @ S.T - sigma)) <= TAU_LIN)
 
 
 def _uncertainty_ok(C: np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ from cvprivacy import (
     direct_sum,
     is_physical,
     partial_transpose,
+    random_physical_state,
     rotation_matrix,
+    squeeze_matrix,
     symplectic_eigenvalues,
     tensor,
     two_mode_squeezed,
@@ -100,3 +102,27 @@ def reorder_modes(state: GaussianState, permutation) -> GaussianState:
         )
     ix = np.array([2 * m + q for m in perm for q in (0, 1)])
     return GaussianState(state.cov[np.ix_(ix, ix)], state.disp[ix])
+
+
+def locally_squeezed_states(seed: int, trials: int):
+    """Yield (trial, state, split) for ``trials`` seeded local images.
+
+    Each trial is a random 2-4 mode state (``random_physical_state`` at
+    mixing 0.6) split nA + nB, moved by a product of one symplectic per
+    mode: with probability 1/2 a single-mode squeeze e^r, r uniform in
+    [-8, 8], after a rotation by 0, pi or a uniform angle.  The strongest
+    squeezings leave physical states whose covariance is singular to
+    working precision.
+    """
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        n = int(rng.integers(2, 5))
+        n_a = int(rng.integers(1, n))
+        state = random_physical_state(rng, n, mixing=0.6)
+        blocks = []
+        for _ in range(n):
+            r = rng.uniform(-8, 8) if rng.random() < 0.5 else 0
+            phi = rng.choice([0, np.pi, rng.uniform(0, 2 * np.pi)])
+            blocks.append(rotation_matrix(phi) @ squeeze_matrix(np.exp(r)))
+        image = apply_symplectic(direct_sum(*blocks), None, state)
+        yield trial, image, BipartiteSplit(n_a, n - n_a)

@@ -205,7 +205,7 @@ def test_criterion_5_monte_carlo():
     assert eps_error < 3 * stage.eps_b_se
 
     slope_cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=60_000_000, seed=4242)
-    fit = slope_check(sample_postselected_bits(state, slope_cfg), slope_cfg, range(1, 9))
+    fit = slope_check(sample_postselected_bits(state, slope_cfg), range(1, 9))
     slope_target = -1.875
     slope_rel_error = abs(fit.slope - slope_target) / abs(slope_target)
 
@@ -221,7 +221,7 @@ def test_criterion_5_monte_carlo():
         pass_cfg = ProtocolConfig(
             x0=1.0, delta=0.02, n_samples=10**14, seed=4242 + n, n_rounds=n
         )
-        result = run_simulation(sample_postselected_bits(state, pass_cfg), pass_cfg)
+        result = run_simulation(sample_postselected_bits(state, pass_cfg))
         p_n = e**n / (e**n + (1.0 - e) ** n)
         pass_se = np.sqrt(p_n * (1.0 - p_n) / result.distilled_blocks)
         worst_pass = max(worst_pass, abs(result.eps_bn_hat - p_n) / pass_se)

@@ -21,7 +21,7 @@ from cvprivacy import (
 )
 from cvprivacy import cli
 from cvprivacy.cli import main
-from families import anticorrelated_tms, reorder_modes
+from families import anticorrelated_tms, locally_squeezed_states, reorder_modes
 
 
 def write_state(tmp_path, name, state):
@@ -112,6 +112,32 @@ def test_analyze_non_finite_state_exits_1_without_traceback(tmp_path):
     )
     assert proc.returncode == 1
     assert "cov[1][1]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _cli_subprocess(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cvprivacy.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "cvprivacy.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_library_errors_exit_1_without_traceback(tmp_path):
+    # a cutoff too low for the oracle's states (TailTooHeavy), and a
+    # physical state whose covariance is singular to working precision
+    # (NumericalFailure)
+    proc = _cli_subprocess("oracle", "--trials", "1", "--cutoff", "3")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: tail mass")
+    assert "Traceback" not in proc.stderr
+    _, state, split = next(
+        item for item in locally_squeezed_states(seed=12, trials=635) if item[0] == 634
+    )
+    path = write_state(tmp_path, "s.json", state)
+    proc = _cli_subprocess("analyze", "--state", path, "--split", f"{split.n_a},{split.n_b}")
+    assert proc.returncode == 1
+    assert "condition number" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -224,7 +250,7 @@ def test_simulate_slope_csv_seeded_and_equal_to_library(tmp_path, capsys):
         texts.append(csv.read_bytes())
     assert texts[0] == texts[1]
     cfg = ProtocolConfig(x0=1.0, delta=0.05, n_rounds=3, n_samples=400_000, seed=9)
-    fit = slope_check(sample_postselected_bits(state, cfg), cfg, range(1, 4))
+    fit = slope_check(sample_postselected_bits(state, cfg), range(1, 4))
     assert texts[0].decode("utf-8") == fit.to_csv()
 
 

@@ -31,6 +31,18 @@ def test_fock_certification_demo_runs():
     assert "vacuum sanity" in run_demo("fock_certification.py")
 
 
+def test_states_and_entanglement_demo_runs():
+    out = run_demo("states_and_entanglement.py")
+    assert "partial-transpose symplectic floor: 0.8000  -> NPPT: True" in out
+    assert "partial-transpose symplectic floor: 1.1000  -> NPPT: False" in out
+
+
+def test_transformations_and_homodyne_demo_runs():
+    out = run_demo("transformations_and_homodyne.py")
+    assert "displacement: [0.6 0. ]" in out
+    assert "same covariance at X = -2.4: True" in out
+
+
 def test_security_region_demo_runs(tmp_path):
     csv = tmp_path / "region.csv"
     out = run_demo("security_region.py", str(csv))

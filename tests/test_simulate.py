@@ -44,10 +44,10 @@ def test_config_validation():
 
 def test_determinism_bit_identical():
     cfg = ProtocolConfig(x0=1.0, delta=0.05, n_samples=500_000, seed=123, n_rounds=2)
-    a = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg)
-    b = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg)
-    assert a.accepted_pairs == b.accepted_pairs
-    assert a.eps_b_hat == b.eps_b_hat
+    a = run_simulation(sample_postselected_bits(REFERENCE, cfg))
+    b = run_simulation(sample_postselected_bits(REFERENCE, cfg))
+    assert a.stage.accepted_pairs == b.stage.accepted_pairs
+    assert a.stage.eps_b_hat == b.stage.eps_b_hat
     assert a.eps_bn_hat == b.eps_bn_hat
     assert a.ad_yield == b.ad_yield
 
@@ -128,9 +128,9 @@ def test_ad_iid_flips_match_binomial_analysis(n_rounds):
 
 def test_ad_distillation_reduces_error():
     cfg = ProtocolConfig(x0=1.0, delta=0.1, n_samples=8_000_000, seed=9, n_rounds=2)
-    result = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg)
+    result = run_simulation(sample_postselected_bits(REFERENCE, cfg))
     assert result.ad_yield <= 1.0
-    assert result.eps_bn_hat <= result.eps_b_hat
+    assert result.eps_bn_hat <= result.stage.eps_b_hat
 
 
 def _bit_level_pass(boxes, n_raw, n_rounds, rng):
@@ -163,7 +163,7 @@ def test_counts_only_pass_has_the_law_of_the_bit_level_pass(monkeypatch):
     for seed in range(1, reps + 1):
         c = ProtocolConfig(seed=seed, **cfg)
         stage = sample_postselected_bits(REFERENCE, c)
-        result = run_simulation(stage, c)
+        result = run_simulation(stage)
         new.append((stage.accepted_pairs, stage.error_pairs,
                     result.distilled_blocks, result.distilled_errors))
         old.append(_bit_level_pass(boxes, cfg["n_samples"], 3, np.random.default_rng(seed)))
@@ -180,23 +180,17 @@ def test_counts_only_pass_has_the_law_of_the_bit_level_pass(monkeypatch):
 def test_stage_counts_are_consistent():
     cfg = ProtocolConfig(x0=1.0, delta=0.2, n_samples=1_000_000, seed=6, n_rounds=4)
     stage = sample_postselected_bits(REFERENCE, cfg)
+    assert stage.config is cfg and stage.n_raw == cfg.n_samples
     counts = stage.block_counts
     assert counts.shape == (5,) and not counts.flags.writeable
     assert counts.sum() == stage.accepted_pairs // 4
     block_errors = int(counts @ np.arange(5))
     assert block_errors <= stage.error_pairs <= block_errors + stage.accepted_pairs % 4
     assert stage.eps_b_hat == stage.error_pairs / stage.accepted_pairs
-    result = run_simulation(stage, cfg)
+    result = run_simulation(stage)
     assert result.distilled_blocks == counts[0] + counts[4]
     assert result.distilled_errors == counts[4]
     assert result.ad_yield == result.distilled_blocks / counts.sum()
-
-
-def test_pass_needs_the_stage_of_its_block_length():
-    cfg = ProtocolConfig(x0=1.0, delta=0.2, n_samples=100_000, seed=6, n_rounds=4)
-    stage = sample_postselected_bits(REFERENCE, cfg)
-    with pytest.raises(ValueError, match="blocks of 4"):
-        run_simulation(stage, ProtocolConfig(x0=1.0, delta=0.2, n_samples=100_000, seed=6))
 
 
 def test_fewer_accepted_pairs_than_one_block():
@@ -205,7 +199,7 @@ def test_fewer_accepted_pairs_than_one_block():
     assert 0 < stage.accepted_pairs < cfg.n_rounds
     assert stage.block_counts.sum() == 0
     with pytest.raises(InsufficientStatistics):
-        run_simulation(stage, cfg)
+        run_simulation(stage)
 
 
 def test_wide_window_pass_does_not_grow_with_accepted_pairs():
@@ -213,15 +207,15 @@ def test_wide_window_pass_does_not_grow_with_accepted_pairs():
     # pass are counts, so neither time nor memory follows the accepted pairs
     state = two_mode_squeezed(0.5)
     cfg = ProtocolConfig(x0=1.0, delta=0.9, n_samples=100_000_000, seed=1, n_rounds=3)
-    run_simulation(sample_postselected_bits(state, cfg), cfg)
+    run_simulation(sample_postselected_bits(state, cfg))
     start = time.perf_counter()
     stage = sample_postselected_bits(state, cfg)
-    result = run_simulation(stage, cfg)
+    result = run_simulation(stage)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     tracemalloc.start()
     try:
-        run_simulation(sample_postselected_bits(state, cfg), cfg)
+        run_simulation(sample_postselected_bits(state, cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -237,14 +231,14 @@ def test_wide_window_pass_does_not_grow_with_accepted_pairs():
 
 def test_slope_check_reference_state():
     cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=8_000_000, seed=13)
-    fit = slope_check(sample_postselected_bits(REFERENCE, cfg), cfg, range(1, 5))
+    fit = slope_check(sample_postselected_bits(REFERENCE, cfg), range(1, 5))
     assert abs(fit.slope - (-1.875)) < 0.08
 
 
 def test_slope_check_product_state_flat():
     state = tensor(single_mode_thermal(2.0), single_mode_thermal(2.0))
     cfg = ProtocolConfig(x0=1.0, delta=0.1, n_samples=2_000_000, seed=14)
-    fit = slope_check(sample_postselected_bits(state, cfg), cfg, range(1, 4))
+    fit = slope_check(sample_postselected_bits(state, cfg), range(1, 4))
     # eps stays 1/2: log eps_BN is constant up to noise
     assert abs(fit.slope) < 0.05
 
@@ -254,17 +248,16 @@ def test_slope_invariant_under_window_width():
     fits = []
     for delta, seed in ((0.005, 31), (0.02, 32)):
         cfg = ProtocolConfig(x0=1.0, delta=delta, n_samples=20_000_000, seed=seed)
-        fits.append(slope_check(sample_postselected_bits(REFERENCE, cfg), cfg, n_range))
+        fits.append(slope_check(sample_postselected_bits(REFERENCE, cfg), n_range))
     gap = abs(fits[0].slope - fits[1].slope)
     assert gap < 3 * (fits[0].stderr + fits[1].stderr) + 0.05
 
 
-def test_slope_check_insufficient_statistics():
+def test_slope_check_insufficient_statistics(monkeypatch):
+    monkeypatch.setattr(simulate, "SLOPE_MAX_BLOCKS", 1_000)
     cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=1_000_000, seed=15)
     with pytest.raises(InsufficientStatistics):
-        slope_check(
-            sample_postselected_bits(REFERENCE, cfg), cfg, range(6, 9), max_blocks_per_n=1_000
-        )
+        slope_check(sample_postselected_bits(REFERENCE, cfg), range(6, 9))
 
 
 def test_slope_check_far_block_lengths_are_flagged():
@@ -273,7 +266,7 @@ def test_slope_check_far_block_lengths_are_flagged():
     # draws put the 0.2 slope bound beyond 6 standard errors of eps_b_hat
     cfg = ProtocolConfig(x0=1.0, delta=0.02, n_samples=100_000_000, seed=16)
     stage = sample_postselected_bits(REFERENCE, cfg)
-    fit = slope_check(stage, cfg, range(1, 401))
+    fit = slope_check(stage, range(1, 401))
     assert len(fit.points) == 400
     assert abs(fit.slope - (-1.875)) < 0.2
     for p in fit.points:
@@ -516,7 +509,7 @@ def test_sampling_cost_does_not_grow_with_raw_draws():
 
 def test_readme_example_reports_its_statistics():
     cfg = ProtocolConfig(x0=1.0, delta=0.01, n_samples=10_000_000, seed=1, n_rounds=4)
-    doc = run_simulation(sample_postselected_bits(REFERENCE, cfg), cfg).to_dict()
+    doc = run_simulation(sample_postselected_bits(REFERENCE, cfg)).to_dict()
     assert doc["n_raw"] == cfg.n_samples
     # a 0.02 x 0.02 box carries (2 delta)^2 times the density at its centre,
     # to O(delta^2); the density at (+-1, +-1) from the probability covariance
@@ -539,6 +532,6 @@ def test_readme_example_reports_its_statistics():
 
     product = tensor(single_mode_thermal(2.0), single_mode_thermal(2.0))
     cfg = ProtocolConfig(x0=1.0, delta=0.1, n_samples=2_000_000, seed=1, n_rounds=2)
-    doc = run_simulation(sample_postselected_bits(product, cfg), cfg).to_dict()
+    doc = run_simulation(sample_postselected_bits(product, cfg)).to_dict()
     assert doc["distilled_errors"] >= simulate.THIN_ERRORS
     assert doc["thin"] is False
