@@ -1,8 +1,8 @@
 """Truncated Fock-space oracle for validating Gaussian closed forms.
 
 Represents one- and two-mode Gaussian states in the truncated number basis,
-by the eigenpairs of their density matrices, and computes overlaps
-numerically, providing a route to fidelity values that never touches the
+by a factor of their density matrices, and computes overlaps numerically,
+providing a route to fidelity values that never touches the
 covariance-matrix formulas it certifies.  Conventions:
 X = (a + a^dag)/sqrt(2), P = i(a^dag - a)/sqrt(2), so the vacuum
 covariance is the identity and <X^2>_vac = 1/2.
@@ -22,33 +22,22 @@ TAU_TAIL = 1e-8
 
 DEFAULT_CUTOFF = {1: 40, 2: 20}
 
-# Symplectic eigenvalues are clamped this far above 1 so the thermal
-# inverse temperature stays finite for pure states.
-_NU_FLOOR = 1e-14
-
-# From this many levels on, H is diagonalised by MRRR (LAPACK heevr), below
-# it by divide-and-conquer (numpy's heevd).  On the Fock Hamiltonians (one
-# BLAS thread of a 2-core Xeon, OpenBLAS) the two cross near 300 levels; at
-# 400 (two modes, cutoff 20) MRRR takes 58 ms against 69 ms, at 60 (one
-# mode) 0.65 ms against 0.45 ms.
-_MRRR_MIN_DIM = 300
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class FockState:
-    """A state in the truncated number basis, held as its eigenpairs.
+    """A state in the truncated number basis, held as a factor of rho.
 
-    ``eigen`` is the pair (w, V) of weights and a unitary with
-    rho = V diag(w) V^dag; it is the state's data.  ``gaussian_to_fock``
-    takes it from the eigendecomposition of the Hamiltonian it already
-    computes; a state built from ``rho`` alone gets it from one Hermitian
-    eigendecomposition.  ``rho`` itself is built from (w, V), made exactly
-    Hermitian, on its first read and cached (a state built from ``rho``
-    keeps that matrix).  ``tail_mass`` estimates the probability weight
-    lost to truncation, from the exact partition function of the
-    generating quadratic form.  The arrays of an ``eigen`` from
-    ``gaussian_to_fock`` are read-only: the conversion keeps its last
-    solve, and a displaced pair shares its weights.
+    ``eigen`` is the pair (w, V) of weights and a matrix with
+    rho = V diag(w) V^dag; it is the state's data.  From ``gaussian_to_fock``
+    it is the thermal weights and the truncated block <m|U|n> of the
+    state's Gaussian unitary, not unitary but with columns of norm at most
+    1; a state built from ``rho`` alone gets its eigenpairs.  ``rho``
+    itself is built from (w, V), made exactly Hermitian, on its first read
+    and cached (a state built from ``rho`` keeps that matrix).
+    ``tail_mass`` is the probability weight lost to truncation, exact up to
+    rounding.  The arrays of an ``eigen`` from ``gaussian_to_fock`` are
+    read-only: the conversion keeps its last factor, and a displaced pair
+    shares its weights.
     """
 
     n_modes: int
@@ -99,56 +88,23 @@ def quadrature_operators(n_modes: int, cutoff: int):
     return ops
 
 
-def _hamiltonian(G: np.ndarray, disp: np.ndarray, cutoff: int) -> np.ndarray:
-    """Kept block of (1/2) (R - d)^T G (R - d) on ``cutoff`` levels per mode.
-
-    The four terms within a mode are summed into one single-mode factor,
-    and the terms (k, l) and (l, k) across two modes into one Kronecker
-    product; the first mode is leftmost, with the identity on every mode a
-    factor does not act on.
-    """
-    n = len(disp) // 2
-    # q[k] = R_k - d_k on the padded levels of mode k // 2
-    x, p = quadrature_operators(1, cutoff + 2)
-    q = [(x, p)[k % 2] - disp[k] * np.eye(cutoff + 2) for k in range(2 * n)]
-    eye = np.eye(cutoff)
-    local = []
-    for mode in range(n):
-        block = np.zeros((cutoff, cutoff), dtype=complex)
-        for k in (2 * mode, 2 * mode + 1):
-            for l in (2 * mode, 2 * mode + 1):
-                if G[k, l] != 0.0:
-                    block += 0.5 * G[k, l] * (q[k] @ q[l])[:cutoff, :cutoff]
-        local.append(block)
-    if n == 1:
-        return local[0]
-    H = np.kron(local[0], eye)
-    H += np.kron(eye, local[1])
-    for k in (0, 1):
-        for l in (2, 3):
-            g = 0.5 * (G[k, l] + G[l, k])
-            if g != 0.0:
-                H += np.kron(g * q[k][:cutoff, :cutoff], q[l][:cutoff, :cutoff])
-    return H
-
-
 def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     """Convert a one- or two-mode Gaussian state to a truncated density matrix.
 
-    The state is realized as exp(-(1/2) (R - d)^T G (R - d)) / Z, with G
-    assembled from the Williamson decomposition of the covariance matrix.
-    Padding is per mode: a same-mode product is built two levels above the
-    cutoff and then sliced, so its matrix elements are exact on the kept
-    block, and a product across two modes is the Kronecker product of the
-    sliced single-mode factors.  The eigendecomposition of the kept block
-    is the returned state's data; its density matrix is built only if read.
+    With gamma = M diag(nu, nu) M^T its Williamson form, the state is
+    U rho_th U^dag, with thermal weights w_n = prod_k (1 - q_k) q_k^(n_k),
+    q = (nu - 1)/(nu + 1), and U^dag R U = M R + d.  The returned state's
+    data is (w, V), V the exact block <m|U|n> over the kept levels; its
+    density matrix is built only if read.  The trace (w, V) misses,
+    1 - sum_n w_n ||V e_n||^2, is the ``tail_mass``; w is then renormalised
+    so that tr rho = 1.
 
-    The state with displacement -d has Hamiltonian Pi H Pi, with Pi the
-    photon-number parity (-1)^(n_1 + ... + n_k), so its eigenpairs are
-    (w, Pi V).  The last solve is kept, and converting the mirrored partner
-    of the state just converted reuses it: the two states share their
-    weights, and the arrays of ``eigen`` are read-only.  The physicality
-    and cutoff checks run on every call.
+    The state with displacement -d has the unitary Pi U Pi, with Pi the
+    photon-number parity (-1)^(n_1 + ... + n_k), so its factor is
+    (w, Pi V).  The last factor is kept, and converting the mirrored
+    partner of the state just converted reuses it: the two states share
+    their weights, and the arrays of ``eigen`` are read-only.  The
+    physicality and cutoff checks run on every call.
 
     Raises
     ------
@@ -158,9 +114,8 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     Unphysical
         If the covariance matrix is not physical.
     TailTooHeavy
-        If the truncation leaks more than TAU_TAIL of probability mass.
-    NumericalFailure
-        If the Hermitian eigensolver fails.
+        If the truncation loses TAU_TAIL of probability mass or more, or
+        the computed loss is NaN.
     """
     if state.n_modes not in (1, 2):
         raise ValueError("the Fock oracle supports one- and two-mode states only")
@@ -178,7 +133,7 @@ def gaussian_to_fock(state: GaussianState, cutoff: int = None) -> FockState:
     nonzero = np.flatnonzero(disp)
     mirrored = nonzero.size > 0 and disp[nonzero[0]] < 0.0
     key = (-disp if mirrored else disp) + 0.0
-    tail, weights, V = _solve(n, int(cutoff), state.cov.tobytes(), key.tobytes())
+    tail, weights, V = _factor(n, int(cutoff), state.cov.tobytes(), key.tobytes())
     if mirrored:
         V = V * _parity(n, cutoff)[:, None]
         V.flags.writeable = False
@@ -192,48 +147,91 @@ def _parity(n_modes: int, cutoff: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _solve(n: int, cutoff: int, cov_bytes: bytes, disp_bytes: bytes):
+def _factor(n: int, cutoff: int, cov_bytes: bytes, disp_bytes: bytes):
     """(tail mass, weights, V) of the state with these moments, read-only.
 
-    Holds the last solve only: its one reuse is the mirrored partner of a
+    Holds the last factor only: its one reuse is the mirrored partner of a
     displaced pair, converted right after it.  A ``TailTooHeavy`` raised
     here is not cached.
     """
     cov = np.frombuffer(cov_bytes).reshape(2 * n, 2 * n)
     disp = np.frombuffer(disp_bytes)
     decomp = williamson(cov)
-    nu = np.maximum(decomp.spectrum, 1.0 + _NU_FLOOR)
-    beta = np.log((nu + 1.0) / (nu - 1.0))
-    G = decomp.S.T @ np.diag(np.repeat(beta, 2)) @ decomp.S
-
-    H = _hamiltonian(G, disp, cutoff)
-    H += H.conj().T
-    H *= 0.5
-
-    ground_energy = 0.5 * float(beta.sum())
-    try:
-        if H.shape[0] >= _MRRR_MIN_DIM:
-            from scipy.linalg import eigh
-
-            energies, V = eigh(H, driver="evr", overwrite_a=True, check_finite=False)
-        else:
-            energies, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Hermitian eigensolver failed: {exc}") from None
-    del H
-    weights = np.exp(-(energies - ground_energy))
-    z_exact = float(np.prod(1.0 / (1.0 - np.exp(-beta))))
-    # sum(weights) is the exact trace of V diag(weights) V^dag
-    total = float(weights.sum())
-    tail = max(0.0, 1.0 - total / z_exact)
-    if tail >= TAU_TAIL:
-        raise TailTooHeavy(
-            f"tail mass {tail:.3e} at cutoff {cutoff}; increase the cutoff"
-        )
+    # a pure mode has q = 0: only its level 0 weighs
+    nu = np.maximum(decomp.spectrum, 1.0)
+    q = (nu - 1.0) / (nu + 1.0)
+    thermal = [(1.0 - qk) * qk ** np.arange(cutoff) for qk in q]
+    weights = functools.reduce(np.multiply.outer, thermal).ravel()
+    V = _unitary_block(np.linalg.inv(decomp.S), disp, cutoff)
+    total = float(np.square(np.abs(V)).sum(axis=0) @ weights)
+    tail = 1.0 - total
+    if not tail < TAU_TAIL:  # a NaN is refused too
+        raise TailTooHeavy(f"tail mass {tail:.3e} at cutoff {cutoff}; increase the cutoff")
     weights /= total
     weights.flags.writeable = False
     V.flags.writeable = False
     return tail, weights, V
+
+
+def _unitary_block(M: np.ndarray, disp: np.ndarray, cutoff: int) -> np.ndarray:
+    """<m|U|n> below ``cutoff`` levels per mode, first mode leftmost, for
+    the Gaussian unitary U with U^dag R U = M R + d.
+
+    With T mapping R to (a; a^dag), T M T^-1 = [[W, V], [conj(V), conj(W)]]
+    and g = (d_x + i d_p)/sqrt(2), the generating function
+    sum_k G_k z^k / sqrt(k!) of G = <m|U|n> in z = (conj(alpha), beta) is
+    C exp(z^T A z / 2 + b^T z) (Miatto & Quesada, Quantum 4, 366 (2020)):
+
+        A = [[V conj(W)^-1, W - V conj(W)^-1 conj(V)],
+             [conj(W)^-1,   -conj(W)^-1 conj(V)]],
+        b = (g - V conj(W)^-1 conj(g), -conj(W)^-1 conj(g)),
+        C = det((M M^T + 1)/2)^(-1/4) exp(-d^T (M M^T + 1)^-1 d / 2),
+
+    C up to a global phase that rho does not see.  Differentiating gives
+    sqrt(k_i + 1) G_(k + e_i) = b_i G_k + sum_j A_ij sqrt(k_j) G_(k - e_j),
+    which fills the 2n-index tensor one axis at a time, last axis first:
+    while axis i is filled, it leads, the complete axes after it trail, and
+    those before it stay at level 0.  Level k sits at position k + 1 of a
+    zero-padded tensor, so G_(k - e_j) is a plain slice.
+    """
+    n = len(disp) // 2
+    k2 = 2 * n
+    T = np.vstack([np.kron(np.eye(n), [1.0, 1j]), np.kron(np.eye(n), [1.0, -1j])]) * np.sqrt(0.5)
+    W, V = np.split((T @ M @ T.conj().T)[:n], 2, axis=1)
+    W_inv = np.linalg.inv(W.conj())
+    VW = V @ W_inv
+    g = (disp[0::2] + 1j * disp[1::2]) * np.sqrt(0.5)
+    A = np.block([[VW, W - VW @ V.conj()], [W_inv, -W_inv @ V.conj()]])
+    b = np.concatenate([g - VW @ g.conj(), -W_inv @ g.conj()])
+    K = M @ M.T + np.eye(k2)
+    C = np.linalg.det(0.5 * K) ** -0.25 * np.exp(-0.5 * disp @ np.linalg.solve(K, disp))
+
+    padded = np.zeros((cutoff + 1,) * k2, dtype=complex)
+    root = np.sqrt(np.arange(cutoff + 1))
+    # the last axis, with every other one at level 0, in scalars
+    line = padded[(1,) * (k2 - 1)]
+    line[1] = cur = complex(C)
+    prev, b_i, a_ii = 0j, complex(b[-1]), complex(A[-1, -1])
+    for k in range(cutoff - 1):
+        prev, cur = cur, (b_i * cur + a_ii * root[k] * prev) / root[k + 1]
+        line[k + 2] = cur
+    for i in reversed(range(k2 - 1)):
+        view = padded[(1,) * i]
+        full = (slice(None),) + (slice(1, None),) * (k2 - i - 1)
+        body = view[full]
+        lowered = []
+        for j in range(i + 1, k2):
+            # G_(k - e_j) and A_ij sqrt(k_j), along axis j of a slice
+            at = full[: j - i] + (slice(0, cutoff),) + full[j - i + 1 :]
+            lowered.append((view[at], A[i, j] * root[:-1].reshape((-1,) + (1,) * (k2 - j - 1))))
+        for k in range(cutoff - 1):
+            out = body[k + 2]
+            np.multiply(body[k + 1], b[i], out=out)
+            out += (A[i, i] * root[k]) * body[k]
+            for low, scale in lowered:
+                out += scale * low[k + 1]
+            out /= root[k + 1]
+    return padded[(slice(1, None),) * k2].reshape(cutoff**n, cutoff**n)
 
 
 def fock_moments(fock: FockState):
@@ -260,7 +258,7 @@ def fock_moments(fock: FockState):
 
 
 def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
-    """tr|sqrt(r0) sqrt(r1)|, from the stored eigendecompositions.
+    """tr|sqrt(r0) sqrt(r1)|, from the stored factors.
 
     With rho_i = V_i diag(w_i) V_i^dag, the fidelity is the sum of the
     singular values of M = diag(sqrt(w0)) V0^dag V1 diag(sqrt(w1)): one
@@ -268,11 +266,11 @@ def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
     matrix.  Only the rows and columns whose weight exceeds eps^2 (eps the
     float64 machine epsilon) are formed.  Dropping rows and columns can
     only lower the nuclear norm, and each dropped row or column has norm at
-    most its sqrt(w) <= eps, so with n weights per state
+    most its sqrt(w) <= eps (the columns of V have norm at most 1), so
 
-        0 <= F_full - F <= sum_dropped sqrt(w0) + sum_dropped sqrt(w1) <= 2 n eps,
+        0 <= F_full - F <= sum_dropped sqrt(w0) + sum_dropped sqrt(w1) <= 2 n eps
 
-    the size of the SVD's own rounding.
+    with n weights per state, the size of the SVD's own rounding.
     """
     if r0.cutoff != r1.cutoff or r0.n_modes != r1.n_modes:
         raise ValueError("states must share cutoff and mode count")

@@ -102,6 +102,25 @@ def test_import_and_analyze_leave_scipy_unloaded(tmp_path):
     assert proc.stdout.split() == ["False", "0", "False"]
 
 
+def test_two_mode_fock_pair_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cvprivacy.__file__).resolve().parents[1]))
+    code = (
+        "import sys, numpy as np, cvprivacy as cv\n"
+        "cov = cv.two_mode_squeezed(0.2).cov\n"
+        "d = np.array([0.3, -0.1, 0.2, 0.1])\n"
+        "plus = cv.gaussian_to_fock(cv.GaussianState(cov, d), 20)\n"
+        "minus = cv.gaussian_to_fock(cv.GaussianState(cov, -d), 20)\n"
+        "closed = np.exp(-d @ np.linalg.solve(cov, d))\n"
+        "print(abs(cv.uhlmann_fidelity(plus, minus) - closed) < 1e-9)\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_analyze_non_finite_state_exits_1_without_traceback(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"n_modes": 1, "cov": [[1, 0], [0, NaN]], "disp": [0, 0]}')

@@ -11,8 +11,9 @@ def run_demo(name, *args):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # the warning filter that pyproject.toml sets for the test suite
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / name), *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -20,6 +21,7 @@ def run_demo(name, *args):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     return proc.stdout
 
 

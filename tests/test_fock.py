@@ -14,9 +14,8 @@ from cvprivacy import (
     two_mode_squeezed,
     uhlmann_fidelity,
     vacuum_state,
-    williamson,
 )
-from cvprivacy.fock import _NU_FLOOR, _hamiltonian, _parity, _solve, quadrature_operators
+from cvprivacy.fock import _factor
 
 RNG = np.random.default_rng(606)
 
@@ -52,30 +51,30 @@ def bloch_messiah_cov(rng, n, r_max, nu_lo, nu_hi):
     return 0.5 * (cov + cov.T)
 
 
-def generator_matrix(state):
-    """G of exp(-(1/2) (R - d)^T G (R - d)), as gaussian_to_fock builds it."""
-    decomp = williamson(state.cov)
-    nu = np.maximum(decomp.spectrum, 1.0 + _NU_FLOOR)
-    beta = np.log((nu + 1.0) / (nu - 1.0))
-    return decomp.S.T @ np.diag(np.repeat(beta, 2)) @ decomp.S
+def expm_density_matrix(nu, r, theta, disp, cutoff):
+    """Oracle for one mode: rho = U rho_th U^dag with U = D(alpha) R(theta) S(r),
+    each factor the matrix exponential of its dense generator on cutoff + 40
+    levels; the product is sliced to the kept block, and rho renormalised.
+
+    U^dag R U = M R + d with M = R_theta diag(e^-r, e^r), so the state's
+    covariance is nu M M^T (see ``expm_covariance``)."""
+    levels = cutoff + 40
+    a = np.diag(np.sqrt(np.arange(1, levels)), k=1)
+    alpha = (disp[0] + 1j * disp[1]) / np.sqrt(2)
+    U = (
+        scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
+        @ scipy.linalg.expm(-1j * theta * (a.T @ a))
+        @ scipy.linalg.expm(0.5 * r * (a @ a - a.T @ a.T))
+    )[:cutoff, :cutoff]
+    q = (nu - 1.0) / (nu + 1.0)
+    rho = (U * ((1.0 - q) * q ** np.arange(cutoff))) @ U.conj().T
+    return rho / np.trace(rho).real
 
 
-def dense_padded_hamiltonian(G, disp, cutoff):
-    """Oracle: every operator dense on cutoff + 2 levels per mode, every
-    product taken at full size, and the kept block sliced out at the end."""
-    n = len(disp) // 2
-    padded = cutoff + 2
-    R = quadrature_operators(n, padded)
-    dim = padded ** n
-    shifted = [R[k] - disp[k] * np.eye(dim) for k in range(2 * n)]
-    H = np.zeros((dim, dim), dtype=complex)
-    for k in range(2 * n):
-        for l in range(2 * n):
-            if G[k, l] != 0.0:
-                H += 0.5 * G[k, l] * (shifted[k] @ shifted[l])
-    levels = np.indices((cutoff,) * n).reshape(n, -1)
-    keep = np.ravel_multi_index(levels, (padded,) * n)
-    return H[np.ix_(keep, keep)]
+def expm_covariance(nu, r, theta):
+    rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+    M = rot @ np.diag([np.exp(-r), np.exp(r)])
+    return nu * M @ M.T
 
 
 def qubit_measurement_grid(dim, n_theta=40, n_phi=20):
@@ -247,27 +246,30 @@ def test_cutoff_convergence():
 
 
 @pytest.mark.parametrize(
-    "state, cutoff",
+    "nu, r, theta, disp, cutoff",
     [
-        (GaussianState(np.diag([1.6, 1.0 / 1.6]), [0.4, -0.3]), 12),
-        (GaussianState(random_mild_cov(np.random.default_rng(5)), [-0.7, 0.5]), 20),
-        (GaussianState(random_mild_cov(np.random.default_rng(6)), [0.2, 0.9]), 40),
-        (two_mode_squeezed(0.3), 12),
-        (
-            GaussianState(
-                bloch_messiah_cov(np.random.default_rng(7), 2, 0.3, 1.05, 1.6),
-                [0.3, -0.2, 0.5, 0.1],
-            ),
-            20,
-        ),
+        (1.0, 0.0, 0.0, [0.0, 0.0], 12),
+        (1.0, 0.2, 0.4, [0.3, -0.5], 40),
+        (1.6, 0.0, 0.0, [0.0, 0.0], 40),
+        (1.3, -0.15, 1.1, [0.6, 0.2], 40),
+        (1.8, 0.1, 2.5, [-0.4, 0.7], 60),
+        (1.2, 0.25, 0.3, [0.9, -0.1], 30),
     ],
 )
-def test_hamiltonian_matches_dense_padded_oracle(state, cutoff):
-    G = generator_matrix(state)
-    got = _hamiltonian(G, state.disp, cutoff)
-    expected = dense_padded_hamiltonian(G, state.disp, cutoff)
-    assert got.shape == expected.shape == (cutoff ** state.n_modes,) * 2
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.linalg.norm(expected)
+def test_density_matrix_matches_expm_oracle(nu, r, theta, disp, cutoff):
+    disp = np.array(disp)
+    state = GaussianState(expm_covariance(nu, r, theta), disp)
+    got = gaussian_to_fock(state, cutoff).rho
+    expected = expm_density_matrix(nu, r, theta, disp, cutoff)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("r, cutoff", [(0.3, 8), (0.8, 23)])
+def test_tail_mass_is_the_exact_truncation_loss(r, cutoff):
+    # the pure two-mode squeezed state keeps sum_(n < c) tanh(r)^2n / cosh(r)^2
+    # = 1 - tanh(r)^2c; at r = 0.8 and cutoff 23 that is 6.6e-9 < TAU_TAIL
+    fk = gaussian_to_fock(two_mode_squeezed(r), cutoff)
+    assert fk.tail_mass == pytest.approx(np.tanh(r) ** (2 * cutoff), rel=1e-6)
 
 
 def test_product_state_is_kronecker_product_in_mode_order():
@@ -313,7 +315,7 @@ def test_uhlmann_two_modes_to_rounding(two_mode_pairs):
         assert abs(uhlmann_fidelity(plus, plus) - 1.0) <= 1e-12
         assert abs(uhlmann_fidelity(minus, minus) - 1.0) <= 1e-12
         assert abs(forward - uhlmann_fidelity(minus, plus)) <= 1e-12
-        assert abs(forward - closed) <= 1e-9
+        assert abs(forward - closed) <= 1e-12
 
 
 def test_stored_eigendecomposition_rebuilds_rho(two_mode_pairs):
@@ -321,7 +323,7 @@ def test_stored_eigendecomposition_rebuilds_rho(two_mode_pairs):
     for fk in [one_mode] + [fk for plus, minus, _ in two_mode_pairs for fk in (plus, minus)]:
         w, V = fk.eigen
         assert w.min() >= 0.0
-        assert abs(w.sum() - 1.0) <= 1e-14
+        assert abs(np.trace((V * w) @ V.conj().T).real - 1.0) <= 1e-14
         assert np.max(np.abs((V * w) @ V.conj().T - fk.rho)) <= 1e-14
 
 
@@ -369,28 +371,6 @@ def test_fock_state_from_rho_keeps_that_matrix():
         FockState(n_modes=1, cutoff=4, tail_mass=0.0)
 
 
-@pytest.mark.parametrize(
-    "state, cutoff, solver",
-    [
-        (single_mode_thermal(1.5), 40, (np.linalg, "eigh")),
-        (two_mode_squeezed(0.2), 20, (scipy.linalg, "eigh")),
-    ],
-)
-def test_eigensolver_failure_raises_numerical_failure(monkeypatch, state, cutoff, solver):
-    real = getattr(*solver)
-
-    def fail(a, *args, **kwargs):
-        # the Williamson decomposition runs its own small eigh first
-        if a.shape[-1] == cutoff ** state.n_modes:
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(*solver, fail)
-    _solve.cache_clear()
-    with pytest.raises(NumericalFailure, match="eigensolver"):
-        gaussian_to_fock(state, cutoff)
-
-
 @pytest.mark.parametrize("cutoff", [0, -3, 2.5, "20", True])
 def test_rejects_cutoff_that_is_not_a_positive_integer(cutoff):
     with pytest.raises(ValueError, match="cutoff"):
@@ -402,7 +382,7 @@ def test_accepts_numpy_integer_cutoff():
     assert fk.rho.shape == (8, 8)
 
 
-# -- a displaced pair shares one solve -------------------------------------------
+# -- a displaced pair shares one factor -------------------------------------------
 
 
 def mirror_cases():
@@ -426,41 +406,29 @@ def mirror(state):
     return GaussianState(state.cov, -state.disp)
 
 
-def direct_solve(state, cutoff):
-    """The eigenpairs of the state's own Hamiltonian, past the cache and its
-    sign normalisation."""
-    tail, w, V = _solve.__wrapped__(
+def direct_factor(state, cutoff):
+    """The state's own factor, past the cache and its sign normalisation."""
+    tail, w, V = _factor.__wrapped__(
         state.n_modes, cutoff, state.cov.tobytes(), state.disp.tobytes()
     )
     return FockState(n_modes=state.n_modes, cutoff=cutoff, tail_mass=tail, eigen=(w, V))
 
 
 @pytest.mark.parametrize("state, cutoff", MIRROR_CASES)
-def test_hamiltonian_of_the_mirror_is_its_parity_image(state, cutoff):
-    G = generator_matrix(state)
-    parity = _parity(state.n_modes, cutoff)
-    plus = _hamiltonian(G, state.disp, cutoff)
-    minus = _hamiltonian(G, -state.disp, cutoff)
-    assert np.array_equal(minus, parity[:, None] * plus * parity)
-    # the identity is not empty: H has entries of both parities
-    assert np.count_nonzero((parity[:, None] * parity < 0) & (plus != 0)) > 0
-
-
-@pytest.mark.parametrize("state, cutoff", MIRROR_CASES)
 def test_mirrored_partner_matches_a_direct_solve(state, cutoff):
     gaussian_to_fock(single_mode_thermal(1.3), 30)
     plus = gaussian_to_fock(state, cutoff)
-    hits = _solve.cache_info().hits
+    hits = _factor.cache_info().hits
     minus = gaussian_to_fock(mirror(state), cutoff)
-    assert _solve.cache_info().hits == hits + 1
+    assert _factor.cache_info().hits == hits + 1
     # whichever of the two has a negative leading entry is the parity image
     assert np.array_equal(plus.eigen[0], minus.eigen[0])
     for fk, s in ((plus, state), (minus, mirror(state))):
-        direct = direct_solve(s, cutoff)
+        direct = direct_factor(s, cutoff)
         assert fk.tail_mass == direct.tail_mass
         assert np.max(np.abs(fk.rho - direct.rho)) <= 1e-13
     fid = uhlmann_fidelity(plus, minus)
-    direct = uhlmann_fidelity(direct_solve(state, cutoff), direct_solve(mirror(state), cutoff))
+    direct = uhlmann_fidelity(direct_factor(state, cutoff), direct_factor(mirror(state), cutoff))
     assert abs(fid - direct) <= 1e-12
     closed = np.exp(-state.disp @ np.linalg.solve(state.cov, state.disp))
     assert abs(fid - closed) < 1e-3
@@ -471,12 +439,12 @@ def test_no_stale_solve_is_served():
     cov = state.cov.copy()
     cov[0, 0] = np.nextafter(cov[0, 0], np.inf)
     for other, other_cutoff in ((GaussianState(cov, state.disp), cutoff), (state, cutoff + 1)):
-        _solve.cache_clear()
+        _factor.cache_clear()
         fresh = gaussian_to_fock(other, other_cutoff).eigen
         gaussian_to_fock(state, cutoff)
         served = gaussian_to_fock(other, other_cutoff).eigen
         assert all(np.array_equal(a, b) for a, b in zip(served, fresh))
-    assert _solve.cache_info().maxsize == 1
+    assert _factor.cache_info().maxsize == 1
 
 
 @pytest.mark.parametrize(
@@ -500,11 +468,11 @@ def test_zero_entries_give_correct_pairs(disp):
     cov = random_mild_cov(np.random.default_rng(3)) if n == 1 else two_mode_squeezed(0.2).cov
     state = GaussianState(cov, disp)
     plus = gaussian_to_fock(state, cutoff)
-    hits = _solve.cache_info().hits
+    hits = _factor.cache_info().hits
     minus = gaussian_to_fock(mirror(state), cutoff)
-    assert _solve.cache_info().hits == hits + 1
+    assert _factor.cache_info().hits == hits + 1
     for fk, s in ((plus, state), (minus, mirror(state))):
-        assert np.max(np.abs(fk.rho - direct_solve(s, cutoff).rho)) <= 1e-13
+        assert np.max(np.abs(fk.rho - direct_factor(s, cutoff).rho)) <= 1e-13
     closed = np.exp(-disp @ np.linalg.solve(cov, disp))
     assert abs(uhlmann_fidelity(plus, minus) - closed) < 1e-6
 
