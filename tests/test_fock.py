@@ -14,8 +14,9 @@ from cvprivacy import (
     two_mode_squeezed,
     uhlmann_fidelity,
     vacuum_state,
+    williamson,
 )
-from cvprivacy.fock import _factor
+from cvprivacy.fock import _factor, _parity, _unitary_block
 
 RNG = np.random.default_rng(606)
 
@@ -412,6 +413,20 @@ def direct_factor(state, cutoff):
         state.n_modes, cutoff, state.cov.tobytes(), state.disp.tobytes()
     )
     return FockState(n_modes=state.n_modes, cutoff=cutoff, tail_mass=tail, eigen=(w, V))
+
+
+@pytest.mark.parametrize("state, cutoff", MIRROR_CASES)
+def test_hamiltonian_of_the_mirror_is_its_parity_image(state, cutoff):
+    # the quadratic Hamiltonian of the mirror is Pi H Pi, so its Gaussian
+    # unitary is Pi U Pi: the block <m|U|n> the factor is built from, filled
+    # directly for -d, is the parity image of the one for d
+    M = np.linalg.inv(williamson(state.cov).S)
+    parity = _parity(state.n_modes, cutoff)
+    plus = _unitary_block(M, state.disp, cutoff)
+    minus = _unitary_block(M, -state.disp, cutoff)
+    assert np.array_equal(minus, parity[:, None] * plus * parity)
+    # the identity is not empty: the block has entries of both parities
+    assert np.count_nonzero((parity[:, None] * parity < 0) & (np.abs(plus) > 1e-3)) > 0
 
 
 @pytest.mark.parametrize("state, cutoff", MIRROR_CASES)
