@@ -260,13 +260,28 @@ def fock_moments(fock: FockState):
 def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
     """tr|sqrt(r0) sqrt(r1)|, from the stored factors.
 
-    With rho_i = V_i diag(w_i) V_i^dag, the fidelity is the sum of the
-    singular values of M = diag(sqrt(w0)) V0^dag V1 diag(sqrt(w1)): one
-    matrix product and one SVD without vectors, and no square root of a
-    matrix.  Only the rows and columns whose weight exceeds eps^2 (eps the
-    float64 machine epsilon) are formed.  Dropping rows and columns can
-    only lower the nuclear norm, and each dropped row or column has norm at
-    most its sqrt(w) <= eps (the columns of V have norm at most 1), so
+    With rho_i = F_i F_i^dag, F_i = V_i diag(sqrt(w_i)), the fidelity is
+    the nuclear norm of M = F0^dag F1, and no square root of a matrix is
+    taken.  Only the columns of F_i whose weight exceeds eps^2 (eps the
+    float64 machine epsilon) are formed; each dropped row or column of M
+    has norm at most its sqrt(w) (the columns of V have norm at most 1).
+
+    A mirrored pair, equal weights with V1 equal to V0 or to Pi V0 (Pi the
+    photon-number parity), is recognised by comparing the factors by value;
+    every displaced pair and every self-pair from ``gaussian_to_fock`` is
+    one.  Its M = F^dag P F, P = 1 or Pi, is Hermitian.  The Fock levels
+    (rows of F) whose population rho_mm is at most eps are dropped: each
+    removes the term P_mm f_m^dag f_m of norm rho_mm from M.  With
+    F_kept^dag = Q R (one QR, R at most as large as the kept levels), M has
+    the nonzero eigenvalues of R P R^dag, and the fidelity is the sum of
+    their magnitudes.  Dropping rows can move the nuclear norm either way, so
+
+        |F_full - F| <= 2 sum_dropped sqrt(w) + sum_dropped rho_mm.
+
+    Any other pair, among them the eigenpairs of states built from a bare
+    rho, takes the sum of the singular values of M: one matrix product and
+    one SVD without vectors.  Dropping columns there can only lower the
+    nuclear norm, so
 
         0 <= F_full - F <= sum_dropped sqrt(w0) + sum_dropped sqrt(w1) <= 2 n eps
 
@@ -278,9 +293,32 @@ def uhlmann_fidelity(r0: FockState, r1: FockState) -> float:
     for w in (w0, w1):
         if w.min() < -1e-10:
             raise NumericalFailure(f"negative eigenvalue {w.min():.3e} in density matrix")
-    floor = np.finfo(float).eps ** 2
-    k0, k1 = w0 > floor, w1 > floor
+    eps = np.finfo(float).eps
+    k0, k1 = w0 > eps**2, w1 > eps**2
+    sign = _mirror_sign(r0, r1)
+    if sign is not None:
+        F = V0[:, k0] * np.sqrt(w0[k0])
+        # rho_mm, the squared norm of row m of F
+        populated = (F.real**2 + F.imag**2).sum(axis=1) > eps
+        R = np.linalg.qr(F[populated].conj().T, mode="r")
+        return float(np.abs(np.linalg.eigvalsh((R * sign[populated]) @ R.conj().T)).sum())
     M = V0[:, k0].conj().T @ V1[:, k1]
     M *= np.sqrt(w0[k0])[:, None]
     M *= np.sqrt(w1[k1])
     return float(np.linalg.svd(M, compute_uv=False).sum())
+
+
+def _mirror_sign(r0: FockState, r1: FockState):
+    """The diagonal of P, all ones or the parity Pi, if the factors of the
+    two states are (w, V) and (w, P V) by value; None otherwise."""
+    (w0, V0), (w1, V1) = r0.eigen, r1.eigen
+    if not np.array_equal(w0, w1):
+        return None
+    parity = _parity(r0.n_modes, r0.cutoff)
+    if len(V0) != len(parity):
+        return None
+    if np.array_equal(parity[:, None] * V0, V1):
+        return parity
+    if np.array_equal(V0, V1):
+        return np.ones_like(parity)
+    return None

@@ -290,6 +290,24 @@ def test_seeded_simulate_bytes_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "state, digest",
+    [
+        (symmetric_state(2.0, 1.2, 1.2),
+         "a9869516b9db16cfd7a1a58fb62caee66acff3c2591a960947f707208da02372"),
+        # exp(807) odds for Bob's error: the report is formed without overflow
+        (anticorrelated_tms(3.0),
+         "6602bb05c9ea34ee00d17409e006a5c2105178a3bd58581f8e0ff94f09291095"),
+    ],
+    ids=["symmetric", "anticorrelated_r3"],
+)
+def test_analyze_bytes_pinned(tmp_path, capsys, state, digest):
+    path = write_state(tmp_path, "s.json", state)
+    code, out, _ = run_cli(capsys, "analyze", "--state", path, "--split", "1,1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_split_measures_what_analyze_analyzes(tmp_path, capsys):
     # the pair sits on modes 0 and 2, vacuum on mode 1; split 2+1 measures
     # the X quadratures of modes 0 and 2 in both commands

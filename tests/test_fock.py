@@ -336,18 +336,47 @@ def test_fidelity_from_bare_rho_matches_stored_eigenbasis(two_mode_pairs):
         assert abs(uhlmann_fidelity(bare(plus), bare(minus)) - uhlmann_fidelity(plus, minus)) <= 1e-12
 
 
+def product_and_svd_fidelity(a, b, floor):
+    """The nuclear norm of diag(sqrt(w0)) V0^dag V1 diag(sqrt(w1)) over the
+    weights above ``floor``: one product and one SVD, for any pair."""
+    (w0, V0), (w1, V1) = a.eigen, b.eigen
+    k0, k1 = w0 > floor, w1 > floor
+    M = V0[:, k0].conj().T @ V1[:, k1]
+    M *= np.sqrt(w0[k0])[:, None]
+    M *= np.sqrt(w1[k1])
+    return float(np.linalg.svd(M, compute_uv=False).sum())
+
+
 def test_truncated_fidelity_within_bound_of_full_svd(two_mode_pairs):
     eps = np.finfo(float).eps
-    for plus, minus, _ in two_mode_pairs:
-        for a, b in ((plus, minus), (minus, plus), (plus, plus)):
-            (w0, V0), (w1, V1) = a.eigen, b.eigen
-            # some weights are dropped, or the comparison shows nothing
-            assert (w0 <= eps**2).any() and (w1 <= eps**2).any()
-            M = V0.conj().T @ V1
-            M *= np.sqrt(np.clip(w0, 0.0, None))[:, None]
-            M *= np.sqrt(np.clip(w1, 0.0, None))
-            full = float(np.linalg.svd(M, compute_uv=False).sum())
-            assert abs(full - uhlmann_fidelity(a, b)) <= 2 * len(w0) * eps
+    state = GaussianState(random_mild_cov(np.random.default_rng(7)), [0.6, -0.3])
+    pairs = [(gaussian_to_fock(state, c), gaussian_to_fock(mirror(state), c)) for c in (40, 60)]
+    pairs += [(plus, minus) for plus, minus, _ in two_mode_pairs]
+    for plus, minus in pairs:
+        if plus.n_modes == 2:
+            # weights and Fock levels are dropped, or the comparison shows nothing
+            w, V = plus.eigen
+            assert (w <= eps**2).any()
+            assert (np.square(np.abs(V)) @ w <= eps).any()
+        # M^dag has the singular values of M, and the mirror Pi F has the
+        # Gram matrix F^dag F of F, so two SVDs give the full value of all four
+        cross = product_and_svd_fidelity(plus, minus, floor=-np.inf)
+        own = product_and_svd_fidelity(plus, plus, floor=-np.inf)
+        for a, b, full in ((plus, minus, cross), (minus, plus, cross), (plus, plus, own), (minus, minus, own)):
+            assert abs(full - uhlmann_fidelity(a, b)) <= 2 * len(a.eigen[0]) * eps
+
+
+def test_near_mirror_takes_the_general_route(two_mode_pairs):
+    # one ulp off a mirrored or identical factor is an unrelated pair, and
+    # gets the product-and-SVD result to the bit
+    plus, minus, _ = two_mode_pairs[0]
+    for partner in (minus, plus):
+        w, V = partner.eigen
+        near = V.copy()
+        near[0, 0] = np.nextafter(near[0, 0].real, np.inf) + 1j * near[0, 0].imag
+        other = FockState(n_modes=2, cutoff=20, tail_mass=partner.tail_mass, eigen=(w, near))
+        general = product_and_svd_fidelity(plus, other, floor=np.finfo(float).eps ** 2)
+        assert uhlmann_fidelity(plus, other) == general
 
 
 def test_density_matrix_built_on_first_read():
